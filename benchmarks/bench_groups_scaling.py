@@ -50,27 +50,15 @@ PROTOCOLS = ("paxos", "paxos-cp")
 N_THREADS = 8
 RATE_PER_THREAD = 8.0
 
-#: The sharded-simulation showcase: a 64-group Figure-7 cell (one pinned
+#: The lane-closed fan-out showcase: a 64-group Figure-7 cell (one pinned
 #: workload thread per group — the paper's single-row entity group times 64)
-#: run once on the single-heap kernel and once on the sharded
-#: multiprocessing kernel at 8 shards.  Digest equality between the two is
+#: run once in-process (``global``) and once with its 8 lanes fanned over
+#: worker processes (``sharded-mp``).  Digest equality between the two is
 #: asserted every run; the wall-clocks land in benchmarks/baselines/kernel.json.
 SHARDED_GROUPS = 64
 SHARDED_SHARDS = 8
 SHARDED_TRANSACTIONS = 6400
 SHARDED_SMOKE_TRANSACTIONS = 960
-
-#: The chatty cell: a 16-lane cross-group + queue mix — the workload shape
-#: that used to collapse the sharded kernel's windows to the global latency
-#: floor.  With the per-lane-pair lookahead matrix and promise-carrying
-#: null messages the windows stretch to the actors' advertised floors, so
-#: the sharded engines stop regressing to serial on exactly this mix.
-CHATTY_GROUPS = 16
-CHATTY_KEY_UNIVERSE = 160
-CHATTY_CROSS_FRACTION = 0.10
-CHATTY_QUEUE_FRACTION = 0.15
-CHATTY_TRANSACTIONS = 640
-CHATTY_SMOKE_TRANSACTIONS = 96
 
 
 def groups_spec(
@@ -139,7 +127,7 @@ def run_sharded_showcase(n_transactions: int) -> dict:
         == metrics_digest([results["sharded-mp"]])
     )
     assert digest_equal, (
-        "sharded-mp kernel diverged from the global kernel on the "
+        "the sharded-mp fan-out diverged from the global engine on the "
         f"{SHARDED_GROUPS}-group cell"
     )
     from repro.harness.shardrun import resolve_workers
@@ -163,97 +151,6 @@ def run_sharded_showcase(n_transactions: int) -> dict:
         f"{record['workers']} worker(s)/{record['cpus']} CPU(s)), "
         f"digests equal"
     )
-    profile = results["sharded-mp"].lane_profile
-    if profile is not None:
-        from repro.harness.profiling import format_lane_profile
-
-        print(format_lane_profile(profile))
-    return record
-
-
-def chatty_spec(engine: str, n_transactions: int) -> ExperimentSpec:
-    """The 16-lane chatty cell: pinned threads plus 2PC and queue slices.
-
-    Every thread stays pinned to its group, but 10% of transactions span a
-    second group (2PC over lane 0) and 15% enqueue a cross-group send that
-    a pump delivers later — so every lane pair the shard map admits carries
-    traffic, the regime where lookahead quality decides the window count.
-    """
-    return ExperimentSpec(
-        # One name across engines: the digests must compare equal.
-        name=f"{CHATTY_GROUPS} groups chatty",
-        cluster=ClusterConfig(
-            placement=PlacementConfig.ranged(
-                CHATTY_GROUPS, key_universe=CHATTY_KEY_UNIVERSE),
-            shards=CHATTY_GROUPS,
-            engine=engine,  # type: ignore[arg-type]
-        ),
-        workload=WorkloadConfig(
-            n_transactions=n_transactions,
-            n_rows=CHATTY_KEY_UNIVERSE,
-            n_threads=CHATTY_GROUPS,
-            cross_group_fraction=CHATTY_CROSS_FRACTION,
-            queue_fraction=CHATTY_QUEUE_FRACTION,
-            group_distribution="pinned",
-        ),
-        protocol="paxos",
-    )
-
-
-def run_chatty(n_transactions: int) -> dict:
-    """The chatty cell on both kernels; digest equality is asserted.
-
-    Prints per-engine wall-clock plus the sharded run's lookahead profile
-    (window-span histogram, promise-stretch ratio, stalls avoided) — the
-    direct evidence for whether promises are carrying the cell.
-    """
-    import os
-    import time
-
-    from repro.harness.experiment import run_once
-
-    cells = {}
-    results = {}
-    for engine in ("global", "sharded-mp"):
-        started = time.perf_counter()
-        results[engine] = run_once(chatty_spec(engine, n_transactions), seed=0)
-        cells[engine] = time.perf_counter() - started
-    digest_equal = (
-        metrics_digest([results["global"]])
-        == metrics_digest([results["sharded-mp"]])
-    )
-    assert digest_equal, (
-        "sharded-mp kernel diverged from the global kernel on the "
-        f"{CHATTY_GROUPS}-lane chatty cell"
-    )
-    from repro.harness.shardrun import resolve_workers
-
-    record = {
-        "groups": CHATTY_GROUPS,
-        "cross_fraction": CHATTY_CROSS_FRACTION,
-        "queue_fraction": CHATTY_QUEUE_FRACTION,
-        "transactions": n_transactions,
-        "serial_s": round(cells["global"], 3),
-        "sharded_mp_s": round(cells["sharded-mp"], 3),
-        "speedup": round(cells["global"] / cells["sharded-mp"], 3),
-        "workers": resolve_workers(CHATTY_GROUPS + 1, None),
-        "cpus": os.cpu_count() or 1,
-        "commits": results["global"].metrics.commits,
-        "digest_equal": digest_equal,
-    }
-    print(
-        f"{CHATTY_GROUPS}-lane chatty cell ({n_transactions} txns, "
-        f"{CHATTY_CROSS_FRACTION:.0%} cross, {CHATTY_QUEUE_FRACTION:.0%} "
-        f"queue): global {cells['global']:.2f}s, sharded-mp "
-        f"{cells['sharded-mp']:.2f}s ({record['speedup']:.2f}x on "
-        f"{record['workers']} worker(s)/{record['cpus']} CPU(s)), "
-        f"digests equal"
-    )
-    profile = results["sharded-mp"].lane_profile
-    if profile is not None:
-        from repro.harness.profiling import format_lane_profile
-
-        print(format_lane_profile(profile))
     return record
 
 
@@ -371,18 +268,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--sharded64", action="store_true",
-        help=f"run the {SHARDED_GROUPS}-group sharded-simulation cell "
+        help=f"run the {SHARDED_GROUPS}-group lane-closed cell "
              f"(global vs sharded-mp at {SHARDED_SHARDS} shards) instead of "
              "the classic sweep; prints per-cell wall-clock and asserts "
              "digest equality",
-    )
-    parser.add_argument(
-        "--chatty", action="store_true",
-        help=f"run the {CHATTY_GROUPS}-lane chatty cell "
-             f"({CHATTY_CROSS_FRACTION:.0%} cross-group 2PC + "
-             f"{CHATTY_QUEUE_FRACTION:.0%} queue sends, global vs "
-             "sharded-mp); prints wall-clock + the lookahead profile and "
-             "asserts digest equality",
     )
     parser.add_argument(
         "--record-baseline", action="store_true",
@@ -393,17 +282,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     def run(jobs: int) -> None:
-        if args.chatty:
-            n = CHATTY_SMOKE_TRANSACTIONS if args.smoke else CHATTY_TRANSACTIONS
-            record = run_chatty(n)
-            if record["cpus"] >= 8 and not args.smoke:
-                # The acceptance claim: on real cores the chatty mix must
-                # not regress to serial — sharded-mp at least matches the
-                # global engine.  A 1-CPU container (or the tiny smoke
-                # cell, which cannot amortize 17 worker world-rebuilds)
-                # can only prove digest equality.
-                assert record["speedup"] >= 1.0, record
-            return
         if args.sharded64:
             n = SHARDED_SMOKE_TRANSACTIONS if args.smoke else SHARDED_TRANSACTIONS
             record = run_sharded_showcase(n)

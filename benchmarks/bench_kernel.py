@@ -73,37 +73,6 @@ def measure_events_per_sec(chain_procs: int, chain_hops: int) -> float:
     return best
 
 
-def measure_sharded_events_per_sec(chain_procs: int, chain_hops: int,
-                                   lanes: int = 8) -> float:
-    """Sharded-kernel scheduler throughput: the timeout-chain workload of
-    ``events_per_sec`` spread over independent event lanes.
-
-    The chains are pinned round-robin to the group lanes with an empty
-    channel graph, so the kernel drains each lane to completion in a single
-    lookahead window — the lane-decomposed regime the 64-group scaling runs
-    exercise.  Gated (warn-only) against the committed baseline like the
-    other substrate numbers.
-    """
-    from repro.sim.env import Environment
-
-    def chain(env, hops):
-        for _ in range(hops):
-            yield env.timeout(1.0)
-
-    best = 0.0
-    for _ in range(REPEATS):
-        env = Environment(seed=1, lanes=lanes + 1, engine="sharded",
-                          min_cross_delay=1.0)
-        env.sim.restrict_channels(set())
-        for index in range(chain_procs):
-            env.process(chain(env, chain_hops), lane=1 + index % lanes)
-        started = time.perf_counter()
-        env.run()
-        elapsed = time.perf_counter() - started
-        best = max(best, env.sim.processed_events / elapsed)
-    return best
-
-
 def measure_messages_per_sec(messages: int) -> float:
     """Network hot path: sequential request/response over two datacenters."""
     from repro.net.latency import RttMatrixLatency
@@ -174,8 +143,6 @@ def measure(scale: str) -> dict[str, float]:
     return {
         "events_per_sec": measure_events_per_sec(
             sizes["chain_procs"], sizes["chain_hops"]),
-        "sharded_events_per_sec": measure_sharded_events_per_sec(
-            sizes["chain_procs"], sizes["chain_hops"]),
         "messages_per_sec": measure_messages_per_sec(sizes["messages"]),
         "invariant_checks_per_sec": measure_invariant_checks_per_sec(
             sizes["check_transactions"], sizes["check_rounds"]),
@@ -243,8 +210,8 @@ def check_sharded_record(baseline: dict | None) -> list[str]:
     expectation (or vice versa) is a mis-gate, so when the recording core
     count differs from this machine's the gate *skips with a message*
     instead of failing.  When the core counts match and cover the shard
-    count, the record must show the ≥2x end-to-end speedup the sharded
-    decomposition exists for; digest equality must hold on any machine.
+    count, the record must show the ≥2x end-to-end speedup the lane-closed
+    fan-out exists for; digest equality must hold on any machine.
     """
     import os
 
@@ -255,7 +222,7 @@ def check_sharded_record(baseline: dict | None) -> list[str]:
     if not record.get("digest_equal", False):
         failures.append(
             "groups_scaling_64: committed record has digest_equal=false — "
-            "the sharded kernel diverged when it was recorded"
+            "the sharded-mp fan-out diverged when it was recorded"
         )
     cpus = os.cpu_count() or 1
     recorded_cpus = record.get("cpus")

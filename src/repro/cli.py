@@ -95,21 +95,23 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
                         choices=["uniform", "zipfian", "pinned"],
                         help="how multi-group transactions pick their group "
                              "(pinned: each client thread owns one group "
-                             "round-robin — the shape the sharded engines "
-                             "decompose best)")
+                             "round-robin — with no 2PC or queue traffic, "
+                             "the lane-closed shape --engine sharded-mp "
+                             "fans out)")
     parser.add_argument("--shards", type=int, default=1,
                         help="partition the deployment into N event-lane "
                              "shards (each owns a block of entity groups; "
                              "needs --groups >= N).  Default 1: the classic "
                              "unsharded deployment")
     parser.add_argument("--engine", default="global",
-                        choices=["global", "sharded", "sharded-mp"],
-                        help="simulation kernel for the shard lanes: global "
-                             "(single heap, reference), sharded "
-                             "(conservative-lookahead lanes, one process), "
-                             "sharded-mp (lanes fanned over worker "
-                             "processes).  All engines produce identical "
-                             "metrics at the same --shards")
+                        choices=["global", "sharded-mp"],
+                        help="how the shard lanes execute: global (one "
+                             "process, the reference) or sharded-mp (a "
+                             "lane-closed run — pinned groups, no 2PC or "
+                             "queue traffic — fans its lanes over worker "
+                             "processes; anything else runs as global).  "
+                             "Both produce identical metrics at the same "
+                             "--shards")
     parser.add_argument("--shard-workers", type=int, default=None,
                         help="worker processes for --engine sharded-mp "
                              "(default: one per lane, capped by CPUs)")
@@ -441,11 +443,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
         print()
         print(format_availability([result], title="availability"))
-    if args.profile and result.lane_profile is not None:
-        from repro.harness.profiling import format_lane_profile
-
-        print()
-        print(format_lane_profile(result.lane_profile))
     if len(result.per_instance) > 1:
         print()
         print(format_per_instance(result, title="per datacenter"))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.config import ClusterConfig, ProtocolName
 from repro.core.client import TransactionClient
@@ -56,8 +56,7 @@ from repro.net.latency import RttMatrixLatency
 from repro.paxos.acceptor import AcceptorState
 from repro.net.network import Network
 from repro.net.topology import Topology, cluster_preset
-from repro.sim.core import LaneStats, ShardedSimulator
-from repro.sim.shard import SHARED_LANE, ShardMap
+from repro.sim.shard import ShardMap
 from repro.sim.shard import store_name as shard_store_name
 from repro.serializability.checker import (
     check_queue_delivery,
@@ -95,8 +94,8 @@ class CrashRecord:
     amnesia detector compares it against the store at restart (nothing may
     change while the replica is down) and again at end of run (promises and
     decisions may only move forward across a crash, never regress).
-    Picklable: the sharded-mp workers ship their records home with the
-    store state.
+    Picklable: the sharded-mp fan-out workers ship their records home with
+    the store state.
     """
 
     datacenter: str
@@ -122,16 +121,10 @@ class Cluster:
         self.shard_map = ShardMap(self.placement.groups, self.config.shards)
         latency = RttMatrixLatency(self.topology, jitter=self.config.jitter)
         self.latency = latency
-        # "sharded-mp" builds an in-process sharded kernel here; the
-        # multiprocessing orchestration (repro.harness.shardrun) runs one
-        # such kernel per worker, each owning a subset of the lanes.
-        engine = "sharded" if self.config.engine == "sharded-mp" \
-            else self.config.engine
+        # Every engine builds the same kernel; "sharded-mp" only changes how
+        # the harness executes a lane-closed run (repro.harness.shardrun).
         self.env = Environment(
-            seed=self.config.seed,
-            lanes=self.shard_map.n_lanes,
-            engine=engine,
-            min_cross_delay=latency.min_delay(),
+            seed=self.config.seed, lanes=self.shard_map.n_lanes,
         )
         self.network = Network(
             self.env,
@@ -154,9 +147,6 @@ class Cluster:
         self._pumps: list[tuple[str, QueueDeliveryPump]] = []
         self._pump_counter = 0
         self._queue_drained = 0
-        #: The cross-lane channel graph installed by the harness (empty until
-        #: :meth:`restrict_lane_channels`); promise coverage derives from it.
-        self._lane_channels: set[tuple[int, int]] = set()
         #: Classified MVSG anomalies of the last :meth:`check_invariants_all`
         #: pass (snapshot-isolation runs only; empty otherwise).  Sorted
         #: deterministically so metrics digests agree serial vs parallel.
@@ -299,113 +289,6 @@ class Cluster:
     def run(self, until: float | None = None) -> None:
         """Advance the simulation (drains the queue when *until* is None)."""
         self.env.run(until)
-
-    def restrict_lane_channels(
-        self, channels: "set[tuple[int, int]]"
-    ) -> None:
-        """Install the run's cross-lane communication graph.
-
-        Only meaningful on the sharded kernel: lanes outside the graph get
-        unbounded lookahead horizons (an empty graph decomposes the run into
-        fully independent lanes), and a message crossing an undeclared pair
-        raises instead of silently miscomputing.  The graph must therefore
-        be a *superset* of the traffic the run can generate — the workload
-        driver and the queue pumps know theirs (see
-        :meth:`repro.sim.shard.ShardMap.channels_for_client` /
-        ``channels_for_pump``); the default, installed by the kernel itself,
-        is the always-sound complete graph.
-
-        Installing the graph also derives the per-channel lookahead matrix:
-        each channel's window is the smallest
-        :meth:`~repro.net.latency.LatencyModel.min_delay_between` over the
-        (sender datacenter, receiver datacenter) pairs its lanes actually
-        host.  On full-replication deployments every lane has nodes in
-        every datacenter, so the matrix honestly collapses to the global
-        floor and the kernel keeps its fast path; heterogeneous placements
-        get genuinely wider per-pair windows.
-        """
-        sim = self.env.sim
-        if not isinstance(sim, ShardedSimulator):
-            return
-        self._lane_channels = set(channels)
-        lane_dcs: list[set[str]] = [set() for _ in range(sim.n_lanes)]
-        for node in self.network._nodes.values():
-            lane_dcs[node.lane].add(node.datacenter)
-        matrix: dict[tuple[int, int], float] = {}
-        for src, dst in self._lane_channels:
-            if not lane_dcs[src] or not lane_dcs[dst]:
-                continue
-            window = min(
-                self.latency.min_delay_between(s, d)
-                for s in lane_dcs[src]
-                for d in lane_dcs[dst]
-            )
-            # Only entries that beat the scalar floor are worth carrying;
-            # an empty matrix keeps the kernel's single-floor fast path.
-            if window > sim.min_cross_delay:
-                matrix[(src, dst)] = window
-        sim.lookahead = matrix or None
-        sim.restrict_channels(set(channels))
-
-    def enable_promises(self, drivers: "Iterable[Any]" = ()) -> bool:
-        """Arm adaptive-lookahead promises on the sharded kernel.
-
-        Call after the workload drivers have started, the pumps are up and
-        :meth:`restrict_lane_channels` installed the channel graph — the
-        coverability analysis needs the final node population.  A channel
-        ``(a, b)`` is *coverable* when every sender in lane *a* that can
-        self-initiate traffic toward *b* is accounted for: driver thread
-        clients and delivery pumps promise their own send floors (out
-        slots), and services only ever *reply* across such a channel, which
-        the pending-request tracking licenses.  Two classes of channel are
-        excluded:
-
-        * ``(a, 0)`` for ``a ≥ 1`` — services self-initiate learner /
-          decision traffic toward the shared lane;
-        * every channel out of a lane hosting a node we cannot classify
-          (not a service, not a pump, not a thread client of *drivers*) —
-          an unknown actor could send anything at any time.
-
-        Returns True when the book was armed.  Promises stay off for
-        single-lane runs, when :attr:`ClusterConfig.promises` is False, and
-        under message duplication (a duplicated request yields two replies
-        for one pending entry, breaking the causal license).
-        """
-        sim = self.env.sim
-        if not isinstance(sim, ShardedSimulator) or sim.n_lanes == 1:
-            return False
-        if not self.config.promises or self.config.duplicate_probability > 0:
-            return False
-        if not self._lane_channels:
-            return False
-        accounted = {
-            service.node.name for service in self.lane_services.values()
-        }
-        accounted.update(pump.node.name for _group, pump in self._pumps)
-        drivers = list(drivers)
-        for driver in drivers:
-            accounted.update(driver.thread_client_names())
-        coverable = {
-            (src, dst)
-            for src, dst in self._lane_channels
-            if not (dst == SHARED_LANE and src != SHARED_LANE)
-        }
-        for node in self.network._nodes.values():
-            if node.name not in accounted:
-                coverable = {ch for ch in coverable if ch[0] != node.lane}
-        if not coverable:
-            return False
-        book = sim.promises
-        book.enable(coverable)
-        for node in self.network._nodes.values():
-            node.arm_promises(book)
-        for driver in drivers:
-            driver.arm_promises(book)
-        for group, pump in self._pumps:
-            pump.arm_out_promises(
-                book, self.shard_map.channels_for_pump(group)
-            )
-        return True
 
     # ------------------------------------------------------------------
     # Service crash-restart (the durable/volatile split, enforced)
@@ -588,11 +471,6 @@ class Cluster:
                     f"(recovery must be finite)"
                 )
         return violations
-
-    def lane_profile(self) -> "LaneStats | None":
-        """Per-lane kernel statistics (sharded kernel only)."""
-        sim = self.env.sim
-        return sim.stats if isinstance(sim, ShardedSimulator) else None
 
     @property
     def initial_image(self) -> dict[Item, Any]:
@@ -818,14 +696,6 @@ class Cluster:
             datacenters=list(self.topology.names),
         )
         self._pumps.append((group, pump))
-        sim = self.env.sim
-        if isinstance(sim, ShardedSimulator) and sim.promises.enabled:
-            # A pump started after enable_promises (an injector restart)
-            # registers its out slot here, before its process can run, so
-            # there is no window in which its sends are unaccounted for.
-            pump.arm_out_promises(
-                sim.promises, self.shard_map.channels_for_pump(group)
-            )
         return self.env.process(
             pump.run(poll_ms=poll_ms, idle_stop_after=idle_stop_after),
             name=pump.node.name,

@@ -142,8 +142,7 @@ class ProtocolConfig:
     queue_poll_ms:
         Poll interval of the asynchronous-queue delivery pumps.  The paper
         only requires *eventual* delivery; a longer interval trades delivery
-        lag for fewer pump wake-ups (and, on the sharded kernel, wider
-        promise-stretched windows between polls).
+        lag for fewer pump wake-ups.
     retry_attempts:
         Extra client-side failover sweeps after the first: a ``begin`` or
         ``read`` whose full sweep over the datacenters came back empty backs
@@ -412,13 +411,12 @@ class FaultScheduleConfig:
         return f"/faults-{parts}"
 
 
-#: Which simulation kernel a deployment runs on.  ``"global"`` is the
-#: single-heap reference; ``"sharded"`` partitions the event queue into
-#: per-shard lanes drained under conservative lookahead (field-identical
-#: results, one process); ``"sharded-mp"`` additionally fans the lanes out
-#: over worker processes (the harness orchestrates; a cluster built with it
-#: directly falls back to the in-process sharded kernel).
-EngineName = Literal["global", "sharded", "sharded-mp"]
+#: How a deployment executes.  ``"global"`` runs every lane in one process
+#: (the reference); ``"sharded-mp"`` fans a lane-closed run's lanes out over
+#: worker processes and runs any other spec exactly as ``"global"`` does
+#: (see :mod:`repro.harness.shardrun`).  A cluster built directly runs
+#: in-process either way.
+EngineName = Literal["global", "sharded-mp"]
 
 
 @dataclass(frozen=True)
@@ -431,11 +429,11 @@ class ClusterConfig:
     ``shards`` partitions the deployment into event lanes: each lane owns a
     contiguous block of the placement's entity groups — its per-datacenter
     service endpoints and store partitions — while clients, coordinators,
-    and 2PC decision instances share lane 0.  ``engine`` picks the kernel
-    that drains those lanes; every engine produces field-identical metrics
-    for the same ``shards`` value (that is the sharded kernel's contract),
-    while different ``shards`` values are distinct deployments (different
-    node names and RNG streams) and are *not* comparable bit-for-bit.
+    and 2PC decision instances share lane 0.  ``engine`` picks how those
+    lanes execute; both engines produce field-identical metrics for the
+    same ``shards`` value, while different ``shards`` values are distinct
+    deployments (different node names and RNG streams) and are *not*
+    comparable bit-for-bit.
     """
 
     cluster_code: str = "VVV"
@@ -451,20 +449,9 @@ class ClusterConfig:
     faults: FaultScheduleConfig = field(default_factory=FaultScheduleConfig)
     shards: int = 1
     engine: EngineName = "global"
-    #: Worker processes for ``engine="sharded-mp"`` (None: one per group
-    #: lane, capped by the CPU count).
+    #: Worker processes for ``engine="sharded-mp"`` (None: one per lane,
+    #: capped by the CPU count).
     shard_workers: int | None = None
-    #: Adaptive lookahead promises on the sharded kernels: workload threads
-    #: and queue pumps advertise when they will next send cross-lane, which
-    #: stretches conservative windows far past the raw latency floor.  The
-    #: harness arms them (:meth:`repro.cluster.Cluster.enable_promises`)
-    #: whenever this is True and the run's senders are all promise-aware;
-    #: results are bit-identical either way — this is purely a speed dial.
-    promises: bool = True
-    #: Run the per-group invariant checks inside the sharded-mp workers
-    #: (parallel with each other) instead of serially on the coordinator.
-    #: Verdicts are field-identical to the serial checker's.
-    parallel_check: bool = True
     #: Isolation level every client commits under.  ``"si"`` relaxes commit
     #: validation to first-committer-wins (write-write only), so runs may
     #: admit write skew — the checker then *classifies* the anomalies
@@ -477,6 +464,10 @@ class ClusterConfig:
             raise ValueError(
                 f"isolation must be one of '1sr', 'si', 'ssi', "
                 f"got {self.isolation!r}"
+            )
+        if self.engine not in ("global", "sharded-mp"):
+            raise ValueError(
+                f"engine must be 'global' or 'sharded-mp', got {self.engine!r}"
             )
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")

@@ -358,28 +358,6 @@ class QueueDeliveryPump:
         self.max_depth = 0
         #: When each pending message was first observed (backlog tracking).
         self._observed_ms: dict[tuple[str, int], float] = {}
-        #: Adaptive-lookahead out slot (see :meth:`arm_out_promises`).
-        self._promise_book = None
-
-    def arm_out_promises(self, book, channels: "set[tuple[int, int]]") -> None:
-        """Register this pump's out slot in the kernel's promise book.
-
-        The pump only self-initiates traffic from inside a scan, and scans
-        are separated by poll sleeps, so between them the slot promises
-        "nothing before the next wake"; a pump that stops (idle exit)
-        leaves ``inf``.  Registration happens before the pump process first
-        runs, with the no-claim floor, so there is no gap in coverage; a
-        pump the injector kills mid-sleep simply leaves its last floor
-        behind, which is sound because a dead pump sends nothing.
-        """
-        if not book.enabled:
-            return
-        self._promise_book = book
-        lane = self.node.lane
-        book.register(
-            ("pump", self.node.name), lane,
-            tuple(ch for ch in channels if ch[0] == lane),
-        )
 
     # ------------------------------------------------------------------
     # The pump loop
@@ -394,17 +372,10 @@ class QueueDeliveryPump:
         delivery *stalls* in the report.
         """
         idle = 0
-        slot = ("pump", self.node.name)
         while idle < idle_stop_after:
             delivered = yield from self.deliver_pending()
             idle = 0 if delivered else idle + 1
-            book = self._promise_book
-            if book is not None:
-                # Asleep until the next poll: promise the quiet stretch.
-                book.set(slot, self.env.now + poll_ms)
             yield self.env.timeout(poll_ms)
-        if self._promise_book is not None:
-            self._promise_book.set(slot, float("inf"))
 
     def deliver_pending(self) -> Generator:
         """One scan: deliver every undelivered send visible locally.

@@ -201,7 +201,7 @@ class DeadlineExceeded(TransactionError):
 #: because all three layers import it.)
 OPEN_LOOP_SHARDS_ERROR = (
     "the open-loop engine needs a single-lane deployment (shards=1): "
-    "pooled clients roam groups, which the sharded kernel's lane pinning "
+    "pooled clients roam groups, which a sharded deployment's lane pinning "
     "cannot express"
 )
 
@@ -212,9 +212,9 @@ class FaultScheduleError(ReproError):
     Raised by :func:`repro.failures.schedule.install_fault_schedule` for
     schedules naming unknown datacenters or groups, pump crashes without a
     running pump, and by :meth:`repro.failures.injector.FailureInjector.kill_process_at`
-    for cross-lane kills requested *mid-run* on the sharded kernel (the
-    cross-lane coupling conservative lookahead forbids) — a typed error at
-    the declaration site instead of a lane-kernel crash deep in the run.
+    for cross-lane kills requested *mid-run* on a lane-partitioned kernel
+    (a coupling between lanes that must stay independent) — a typed error
+    at the declaration site instead of a lane-kernel crash deep in the run.
     """
 
 

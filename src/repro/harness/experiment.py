@@ -89,6 +89,26 @@ class ExperimentSpec:
                     "against 1SR)"
                 )
 
+    @property
+    def lane_closed(self) -> bool:
+        """True when no event of one group lane can reach another lane.
+
+        A closed-loop workload whose threads are each pinned to one entity
+        group, with no 2PC (``cross_group_fraction``) and no queue
+        (``queue_fraction``) traffic, on a deployment with several lanes:
+        every message then stays in its sender's lane, so the lanes can run
+        in separate processes (``engine="sharded-mp"``) without exchanging
+        anything mid-run.
+        """
+        workload = self.workload
+        return (
+            self.cluster.shards > 1
+            and not workload.open_loop
+            and workload.group_distribution == "pinned"
+            and workload.cross_group_fraction == 0
+            and workload.queue_fraction == 0
+        )
+
     def scaled(self, n_transactions: int) -> "ExperimentSpec":
         """The same cell with a smaller transaction budget (for CI runs)."""
         return replace(self, workload=replace(self.workload, n_transactions=n_transactions))
@@ -102,18 +122,14 @@ class ExperimentResult:
     metrics: RunMetrics
     per_instance: dict[str, RunMetrics] = field(default_factory=dict)
     outcomes: list[TransactionOutcome] = field(default_factory=list)
-    #: Sharded-kernel execution statistics (windows, per-lane utilization,
-    #: barrier stalls); ``None`` on the single-heap kernels.  Excluded from
-    #: ``metrics_digest`` — it describes the execution, not the result.
-    lane_profile: dict | None = None
 
 
 def prepare_run(spec: ExperimentSpec, seed: int) -> tuple[Cluster, list[WorkloadDriver]]:
     """Build one cell's world: cluster, preloaded data, started drivers.
 
-    A pure function of ``(spec, seed)`` — the sharded multiprocessing mode
-    rebuilds the identical world in every worker process from these two
-    values, so everything here must derive from them alone.
+    A pure function of ``(spec, seed)`` — the lane-closed fan-out rebuilds
+    the identical world in every worker process from these two values, so
+    everything here must derive from them alone.
 
     Option conflicts (retention × invariants, open-loop × shards) are the
     spec's own ``__post_init__`` business — any spec that reaches this
@@ -166,21 +182,6 @@ def prepare_run(spec: ExperimentSpec, seed: int) -> tuple[Cluster, list[Workload
         from repro.failures.schedule import install_fault_schedule
 
         install_fault_schedule(cluster, spec.cluster.faults, pumps=pumps)
-    if not cluster.shard_map.single_lane:
-        # Conservative-lookahead input: the union of every actor's possible
-        # cross-lane traffic.  Group-pinned threads without 2PC contribute
-        # nothing, which is what lets big scaling runs decompose.
-        channels: set[tuple[int, int]] = set()
-        for driver in drivers:
-            channels |= driver.lane_channels()
-        if spec.workload.queue_fraction > 0:
-            for group in cluster.placement.groups:
-                channels |= cluster.shard_map.channels_for_pump(group)
-        cluster.restrict_lane_channels(channels)
-        # Adaptive lookahead: the drivers, pumps and nodes all exist now,
-        # so the coverability analysis sees the final population.  Being
-        # part of prepare_run, every mp worker arms the identical book.
-        cluster.enable_promises(drivers)
     return cluster, drivers
 
 
@@ -190,8 +191,8 @@ def finish_run(
 ) -> ExperimentResult:
     """Offline phase of one cell: finalize, verify invariants, aggregate.
 
-    ``group_logs`` lets the sharded multiprocessing path hand over logs the
-    workers already finalized in parallel (each worker finalizes its owned
+    ``group_logs`` lets the lane-closed fan-out hand over logs the workers
+    already finalized in parallel (each worker finalizes its owned
     lanes' groups); ``group_checker`` likewise fans the per-group invariant
     suites out to the workers (see
     :meth:`repro.cluster.Cluster.check_invariants_all`).
@@ -286,28 +287,20 @@ def finish_run(
             metrics.crash_downtime_ms = fmean(
                 record.restart_ms - record.crash_ms for record in restarted
             )
-    stats = cluster.lane_profile()
-    lane_profile = None
-    if stats is not None:
-        lane_profile = {
-            "windows": stats.windows,
-            "events": list(stats.events),
-            "barrier_stalls": list(stats.barrier_stalls),
-            "cross_messages": stats.cross_messages,
-            "utilization": stats.utilization(),
-            "window_span_hist": dict(stats.window_span_hist),
-            "promise_windows": stats.promise_windows,
-            "stalls_avoided": stats.stalls_avoided,
-        }
     return ExperimentResult(
         spec=spec, metrics=metrics, per_instance=per_instance,
-        outcomes=outcomes, lane_profile=lane_profile,
+        outcomes=outcomes,
     )
 
 
 def run_once(spec: ExperimentSpec, seed: int = 0) -> ExperimentResult:
-    """Execute one cell once with one seed."""
-    if spec.cluster.engine == "sharded-mp":
+    """Execute one cell once with one seed.
+
+    ``engine="sharded-mp"`` fans a lane-closed spec's lanes out over worker
+    processes; every other spec runs in-process, identically on both
+    engines.
+    """
+    if spec.cluster.engine == "sharded-mp" and spec.lane_closed:
         from repro.harness.shardrun import run_once_sharded_mp
 
         return run_once_sharded_mp(spec, seed)
@@ -331,7 +324,6 @@ def aggregate_cell(spec: ExperimentSpec, runs: list[ExperimentResult]) -> Experi
     return ExperimentResult(
         spec=spec, metrics=merged, per_instance=per_instance,
         outcomes=list(runs[0].outcomes),
-        lane_profile=runs[0].lane_profile,
     )
 
 

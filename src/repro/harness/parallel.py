@@ -58,7 +58,7 @@ def resolve_jobs(jobs: int | None, procs_per_job: int = 1) -> int:
     """Normalize a ``--jobs`` value: ``None``/``0`` means one per CPU.
 
     ``procs_per_job`` is how many worker processes each job itself spawns
-    (the sharded multiprocessing engine runs one per shard lane).  When
+    (the lane-closed fan-out runs up to one per lane).  When
     ``jobs × procs_per_job`` oversubscribes the machine the job count is
     clamped — processes beyond the CPU count just thrash the scheduler —
     with a warning naming both knobs, so ``--jobs``/``--shards`` users see
@@ -98,11 +98,11 @@ def default_jobs() -> int:
 def shard_procs_per_run(spec: ExperimentSpec) -> int:
     """Worker processes one ``run_once`` of *spec* will spawn itself.
 
-    1 for the single-process engines; the sharded multiprocessing engine
-    spawns one worker per lane (capped by CPUs / ``shard_workers``), and
+    1 unless ``engine="sharded-mp"`` fans a lane-closed spec out, which
+    spawns one worker per lane (capped by CPUs / ``shard_workers``);
     ``resolve_jobs`` budgets the pool against that.
     """
-    if spec.cluster.engine != "sharded-mp" or spec.cluster.shards <= 1:
+    if spec.cluster.engine != "sharded-mp" or not spec.lane_closed:
         return 1
     from repro.harness.shardrun import resolve_workers
 

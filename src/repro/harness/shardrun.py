@@ -1,31 +1,23 @@
-"""Sharded multiprocessing execution of one experiment cell.
+"""Lane-closed multiprocessing execution of one experiment cell.
 
-The in-process sharded kernel (:class:`repro.sim.core.ShardedSimulator`)
-proves the partitioned-lane execution model; this module buys wall-clock
-with it.  Every worker process rebuilds the *identical* world from
-``(spec, seed)`` — :func:`repro.harness.experiment.prepare_run` is a pure
-function of those two values — then executes only its assigned lanes.  The
-parent is the conservative-lookahead coordinator: each round it gathers
-every lane's next-event time, relaxes the null-message fixed point over the
-declared channel graph (the same computation the in-process kernel performs
-per window), scatters per-lane horizons plus routed cross-lane messages,
-and collects each worker's outbox.
+Entity groups are independent units of concurrency control, and a
+lane-closed spec (:attr:`repro.harness.experiment.ExperimentSpec.lane_closed`)
+keeps every message inside its sender's lane — so disjoint lane sets can run
+in separate processes with nothing to exchange mid-run.  Every worker
+rebuilds the *identical* world from ``(spec, seed)`` —
+:func:`repro.harness.experiment.prepare_run` is a pure function of those two
+values — drops the pending events of the lanes it does not own
+(:meth:`repro.sim.core.LanedSimulator.restrict_lanes`), and runs the laned
+kernel to completion.  Should a lane schedule into a lane its worker does
+not own, the kernel raises :class:`~repro.errors.SimulationError`: the spec
+was not lane-closed after all.
 
-Two regimes fall out of one protocol:
-
-* **Lane-closed runs** (group-pinned threads, no 2PC/queue traffic): the
-  channel graph is empty, every horizon is infinite, and the whole run
-  completes in a single round per worker — embarrassing parallelism, no
-  mid-run communication.  This is what opens 64-group Figure-7 cells.
-* **General runs**: horizons advance by at least the network's cross-lane
-  latency floor per round; correct, but round-trip latency bounds the win.
-  The in-process sharded kernel is usually the better tool there.
-
-Results are field-identical to the single-process kernels: workers ship
-their lanes' store partitions, per-thread outcomes, pump confirmations, and
-network counters home, the parent installs them into its own (never-run)
-world, and the offline phase (finalize, §3 invariants, metrics) proceeds
-exactly as a serial run's would.
+Results are field-identical to the in-process run: workers ship their lanes'
+store partitions, per-thread outcomes, crash records and network counters
+home, the parent installs them into its own (never-run) world, and the
+offline phase (finalize, §3 invariants, metrics) proceeds exactly as a
+serial run's would.  A lane-closed run has no 2PC or queue traffic, so
+there is no cross-group state to resolve between the lanes.
 """
 
 from __future__ import annotations
@@ -43,41 +35,20 @@ from repro.harness.experiment import (
 if TYPE_CHECKING:  # pragma: no cover
     from multiprocessing.connection import Connection
 
-    from repro.sim.core import ShardedSimulator
-
-#: Message shapes on the coordinator/worker pipes.
-#:   parent -> worker: ("step", inbox, horizons) | ("finalize",)
-#:                   | ("check", packet) | ("finish",)
-#:   worker -> parent: ("state", outbox, heads, promises) | ("final", payload)
-#:                   | ("checked", {group: violations}) | ("error", repr)
+#: Message shapes on the parent/worker pipes.
+#:   worker -> parent: ("final", payload) | ("checked", {group: violations})
+#:                   | ("error", repr)
+#:   parent -> worker: ("check", packet) | ("finish",)
 #:
-#: ``finalize`` ends the run phase: the worker finalizes its owned lanes'
-#: group logs (the per-replica Paxos rescan, parallelized for free) and
-#: ships its full payload — including those logs — but stays alive.  The
-#: coordinator then runs the global resolution phase (2PC recovery, queue
-#: drain, group-disjointness) and, with ``parallel_check`` on, sends each
-#: worker a ``check`` packet: the decision map plus, per owned group, the
-#: offline-drained entries to replay and the group's outcomes.  The worker
-#: answers with each group's violation list (usually empty) and the
-#: coordinator raises the first failing group in sorted order — the exact
-#: strings the serial path would have raised.  ``finish`` just releases the
-#: worker.
-#:
-#: ``promises`` is the worker book's ``(out_floors, pending)`` snapshot
-#: (or ``None`` when the adaptive-lookahead layer is off).  Each worker's
-#: book was restricted to slots homed on — and requests issued from — its
-#: owned lanes, so the per-channel state is partitioned across workers and
-#: the coordinator's fold is a disjoint union (min on the impossible
-#: overlap, the conservative combiner).  Staleness is sound by promise
-#: inheritance: every advertised out floor permanently lower-bounds its
-#: slot's subsequent sends, and an actor spawned *after* a snapshot (a 2PC
-#: decision-marker process) first acts at or after the time its spawner's
-#: own floor licensed, so the snapshot's channel floor bounds the spawnee's
-#: sends too.  Pending entries only ever lower a reply floor below the
-#: chained value, so a stale entry (reply since delivered) is conservative;
-#: a *missing* entry cannot be anti-conservative because requests sent
-#: after the snapshot are themselves bounded by the fixed point's chain
-#: through the request channel's floor.
+#: A worker runs its lanes to completion as soon as it starts, finalizes its
+#: owned groups' logs (the per-replica Paxos rescan, parallelized for free)
+#: and ships its full payload — including those logs — but stays alive.  The
+#: parent then runs the global pre-check phase (group-disjointness) and, with
+#: invariants on, sends each worker a ``check`` packet: the decision map plus
+#: the outcomes of each owned group.  The worker answers with each group's
+#: violation list (usually empty) and the parent raises the first failing
+#: group in sorted order — the exact strings the serial path would have
+#: raised.  ``finish`` just releases the worker.
 
 
 def resolve_workers(n_lanes: int, requested: int | None) -> int:
@@ -86,10 +57,9 @@ def resolve_workers(n_lanes: int, requested: int | None) -> int:
     The default is one worker per lane, capped by the CPU count.  An
     *explicit* request is honored up to the lane count even when it
     oversubscribes the machine — worker count is also a correctness dial
-    (the digest tests deliberately split lanes over more workers than this
-    container has cores to exercise the coordinator exchange) — but it
-    draws the same warning the ``--jobs`` clamp gives, so nobody thrashes
-    the scheduler unknowingly.
+    (the digest tests deliberately split lanes over more workers than a
+    small machine has cores) — but it draws the same warning the ``--jobs``
+    clamp gives, so nobody thrashes the scheduler unknowingly.
     """
     cpus = os.cpu_count() or 1
     if requested is None:
@@ -121,57 +91,15 @@ def partition_lanes(n_lanes: int, workers: int) -> list[tuple[int, ...]]:
     return blocks
 
 
-def _effective_heads(
-    heads: dict[int, float],
-    inboxes: "list[list]",
-    n_lanes: int,
-) -> list[float]:
-    """Per-lane earliest-event bounds from worker heads **and in-flight
-    messages**.
-
-    Worker-reported heads alone understate a lane's earliest future event:
-    a message routed this round but not yet injected (it travels with the
-    *next* round's step command) is invisible to every worker, yet its
-    delivery both wakes its destination and lets that destination send
-    again ``min_delay`` later.  Folding each pending delivery time into its
-    destination's head before the fixed point keeps every other lane's
-    horizon below anything that delivery can cause — without it, a lane
-    whose only local event is a 2 s request deadline would be granted a 2 s
-    window while the reply is still in transit.
-    """
-    effective = [heads.get(lane, float("inf")) for lane in range(n_lanes)]
-    for inbox in inboxes:
-        for entry in inbox:
-            when, dst_lane = entry[0], entry[3]
-            if when < effective[dst_lane]:
-                effective[dst_lane] = when
-    return effective
-
-
-def _compute_horizons(
-    heads: dict[int, float],
-    inboxes: "list[list]",
-    preds: list[set[int]],
-    min_delay: float,
-) -> dict[int, float]:
-    """Per-round horizons without the adaptive-lookahead layer."""
-    from repro.sim.core import conservative_horizons
-
-    effective = _effective_heads(heads, inboxes, len(preds))
-    horizons = conservative_horizons(effective, preds, min_delay)
-    return dict(enumerate(horizons))
-
-
 def _worker_payload(cluster, drivers, owned: set[int]) -> dict[str, Any]:
     """Everything a worker's lanes produced, in picklable form.
 
     On ``retain_outcomes=False`` drivers the per-thread sinks are
     O(histogram-bucket) :class:`~repro.harness.metrics.OutcomeAggregate`
-    payloads instead of outcome lists — the shipping (and the coordinator's
+    payloads instead of outcome lists — the shipping (and the parent's
     ``absorb_thread_outcomes``) is sink-agnostic, so aggregate-only runs
     never serialize per-transaction outcomes across the process boundary.
     """
-    sim: "ShardedSimulator" = cluster.env.sim
     stores = {
         key: store.dump_state()
         for key, store in cluster.lane_stores.items()
@@ -186,24 +114,14 @@ def _worker_payload(cluster, drivers, owned: set[int]) -> dict[str, Any]:
             if lanes.get(thread, 0) in owned
         }
         outcomes.append((index, shipped))
-    pumps = [
-        (index, pump.delivered, pump.max_depth)
-        for index, (_group, pump) in enumerate(cluster._pumps)
-        if pump.node.lane in owned
-    ]
     return {
         "stores": stores,
         "outcomes": outcomes,
-        "pumps": pumps,
         # Crash records are lane-local (each worker's injector only fires
-        # in lanes it executes), so the coordinator's union is disjoint.
+        # in lanes it executes), so the parent's union is disjoint.
         "crashes": cluster.crash_records,
         "net_stats": cluster.network.stats,
         "processed": cluster.env.sim.processed_events,
-        "lane_events": sim.stats.events,
-        "lane_stalls": sim.stats.barrier_stalls,
-        "cross_messages": sim.stats.cross_messages,
-        "window_span_hist": dict(sim.stats.window_span_hist),
     }
 
 
@@ -212,11 +130,10 @@ def _mp_group_checker(cluster, pipes, blocks):
 
     Each worker already holds its lanes' finalized replica state — the
     expensive inputs (stores, logs) never cross a process boundary; only
-    the decision map, the offline-drained entries, and the groups' outcome
-    lists ship out, and per-group violation strings ship back.  Violations
-    are raised in sorted-group order, matching the serial loop exactly.
+    the decision map and the groups' outcome lists ship out, and per-group
+    violation strings ship back.  Violations are raised in sorted-group
+    order, matching the serial loop exactly.
     """
-    from repro.core.queues import DRAIN_ORIGIN
     from repro.wal.invariants import InvariantViolation
 
     lane_of = cluster.shard_map.lane_of
@@ -228,15 +145,7 @@ def _mp_group_checker(cluster, pipes, blocks):
             for _ in blocks
         ]
         for group, group_outcomes in by_group.items():
-            drained = {
-                position: entry
-                for position, entry in logs.get(group, {}).items()
-                if entry.transactions
-                and entry.transactions[0].origin == DRAIN_ORIGIN
-            }
-            packets[owner[lane_of(group)]]["groups"][group] = (
-                drained, group_outcomes,
-            )
+            packets[owner[lane_of(group)]]["groups"][group] = group_outcomes
         for conn, packet in zip(pipes, packets):
             conn.send(("check", packet))
         results: dict[str, list[str]] = {}
@@ -254,64 +163,36 @@ def _mp_group_checker(cluster, pipes, blocks):
 
 def _worker_main(conn: "Connection", spec: ExperimentSpec, seed: int,
                  lanes: tuple[int, ...]) -> None:
-    """One worker: rebuild the world, drain owned lanes on command."""
+    """One worker: rebuild the world, run the owned lanes, then serve checks."""
     try:
         cluster, drivers = prepare_run(spec, seed)
-        sim: "ShardedSimulator" = cluster.env.sim
         owned = set(lanes)
-        sim.restrict_lanes(owned)
-        network = cluster.network
+        cluster.env.sim.restrict_lanes(owned)
+        cluster.run()
+        # Finalize before dumping: the store snapshots must carry the
+        # chosen marks the rescan records, so the parent's world state
+        # matches a serially-finalized one.
+        logs = {
+            group: cluster.finalize(group)
+            for group in cluster.groups
+            if cluster.shard_map.lane_of(group) in owned
+        }
+        payload = _worker_payload(cluster, drivers, owned)
+        payload["logs"] = logs
+        conn.send(("final", payload))
         while True:
             command = conn.recv()
             if command[0] == "finish":
                 return
-            if command[0] == "finalize":
-                # Finalize before dumping: the store snapshots must carry
-                # the chosen marks the rescan records, so the coordinator's
-                # world state matches a serially-finalized one.
-                logs = {
-                    group: cluster.finalize(group)
-                    for group in cluster.groups
-                    if cluster.shard_map.lane_of(group) in owned
-                }
-                payload = _worker_payload(cluster, drivers, owned)
-                payload["logs"] = logs
-                conn.send(("final", payload))
-                continue
-            if command[0] == "check":
-                packet = command[1]
-                decisions = packet["decisions"]
-                results: dict[str, list[str]] = {}
-                for group in sorted(packet["groups"]):
-                    drained, group_outcomes = packet["groups"][group]
-                    # Replay the coordinator's offline queue drain so this
-                    # group's replicas (and its MVSG replay) see the same
-                    # completed log the serial checker would.
-                    for position, entry in sorted(drained.items()):
-                        for dc in cluster.topology.names:
-                            cluster.service_for(dc, group).replica(
-                                group
-                            ).record_chosen(position, entry)
-                    results[group] = cluster.group_violations(
-                        group, group_outcomes, packet["strict"], decisions
-                    )
-                conn.send(("checked", results))
-                continue
-            _tag, inbox, horizons = command
-            for when, key_lane, key_seq, dst_lane, (msg, dst_name) in inbox:
-                network.inject_delivery(
-                    dst_lane, when, key_lane, key_seq, msg, dst_name
+            packet = command[1]
+            results = {
+                group: cluster.group_violations(
+                    group, group_outcomes, packet["strict"],
+                    packet["decisions"],
                 )
-            if horizons:
-                sim.run_window(horizons)
-            book = sim.promises
-            conn.send((
-                "state",
-                sim.drain_outbox(),
-                {lane: sim.lane_head(lane) for lane in lanes},
-                (dict(book._floors), dict(book._pending_min))
-                if book.enabled else None,
-            ))
+                for group, group_outcomes in sorted(packet["groups"].items())
+            }
+            conn.send(("checked", results))
     except BaseException as exc:  # surface in the parent, don't hang it
         try:
             conn.send(("error", repr(exc)))
@@ -321,29 +202,23 @@ def _worker_main(conn: "Connection", spec: ExperimentSpec, seed: int,
 
 
 def run_once_sharded_mp(spec: ExperimentSpec, seed: int = 0) -> ExperimentResult:
-    """Execute one cell with the lanes fanned over worker processes.
+    """Execute one lane-closed cell with its lanes fanned over workers.
 
-    Field-identical to ``engine="sharded"`` (and ``"global"``) at the same
-    ``shards`` — the workers merely execute the same lanes elsewhere.
+    Field-identical to ``engine="global"`` at the same ``shards`` — the
+    workers merely execute disjoint lane sets elsewhere.
     """
     from multiprocessing import get_context
 
+    if not spec.lane_closed:
+        raise ValueError(
+            f"cell {spec.name!r} is not lane-closed; run it in-process "
+            "(run_once does)"
+        )
     cluster, drivers = prepare_run(spec, seed)
-    sim = cluster.env.sim
     n_lanes = cluster.shard_map.n_lanes
-    if n_lanes == 1:
-        # Nothing to fan out; run inline.
-        cluster.run()
-        return finish_run(spec, cluster, drivers)
-    preds = [set(p) for p in sim.channel_preds]
-    min_delay = sim.min_cross_delay
-    workers = resolve_workers(
-        n_lanes, spec.cluster.shard_workers
+    blocks = partition_lanes(
+        n_lanes, resolve_workers(n_lanes, spec.cluster.shard_workers)
     )
-    blocks = partition_lanes(n_lanes, workers)
-    owner_of: dict[int, int] = {
-        lane: index for index, block in enumerate(blocks) for lane in block
-    }
 
     ctx = get_context("spawn")
     pipes = []
@@ -360,93 +235,7 @@ def run_once_sharded_mp(spec: ExperimentSpec, seed: int = 0) -> ExperimentResult
             pipes.append(parent_conn)
             procs.append(proc)
 
-        # Adaptive-lookahead state: the coordinator mirrors the in-process
-        # kernel's per-window promise fold.  The covered set is topology
-        # (identical in every process); the dynamic floors/pending arrive
-        # with each worker's state reply, partitioned by lane ownership.
-        solver = None
-        covered = sim.promises._coverable if sim.promises.enabled else None
-        if covered:
-            from repro.sim.core import HorizonSolver, conservative_horizons
-
-            solver = HorizonSolver(
-                preds, min_delay, sim.lookahead, frozenset(covered)
-            )
-        views: list[tuple[dict, dict] | None] = [None] * len(blocks)
-
-        heads: dict[int, float] = {}
-        inboxes: list[list] = [[] for _ in blocks]
-        first_round = True
-        rounds = 0
-        while True:
-            if first_round:
-                # Probe round: empty horizons, workers just report heads.
-                horizons: dict[int, float] = {}
-                first_round = False
-            else:
-                frontier = min(heads.values(), default=float("inf"))
-                pending = any(inboxes)
-                if frontier == float("inf") and not pending:
-                    break
-                if solver is None:
-                    horizons = _compute_horizons(
-                        heads, inboxes, preds, min_delay
-                    )
-                else:
-                    effective = _effective_heads(heads, inboxes, n_lanes)
-                    floors: dict = {}
-                    sends: dict = {}
-                    for view in views:
-                        if view is None:
-                            continue
-                        for channel, floor in view[0].items():
-                            held = floors.get(channel)
-                            if held is None or floor < held:
-                                floors[channel] = floor
-                        for channel, sent in view[1].items():
-                            held = sends.get(channel)
-                            if held is None or sent < held:
-                                sends[channel] = sent
-                    promised = solver.solve(effective, floors, sends)
-                    base = conservative_horizons(
-                        effective, preds, min_delay
-                    )
-                    if promised != base:
-                        sim.stats.promise_windows += 1
-                        # Same reading as the in-process kernel: the lane's
-                        # head event runs this round (head < horizon) though
-                        # the head-only horizon admitted nothing.
-                        for lane in range(n_lanes):
-                            if (base[lane] <= effective[lane]
-                                    < promised[lane]):
-                                sim.stats.stalls_avoided += 1
-                    horizons = dict(enumerate(promised))
-                rounds += 1  # an actual drain round, comparable to a window
-            for index, conn in enumerate(pipes):
-                block_horizons = {
-                    lane: horizons[lane]
-                    for lane in blocks[index]
-                    if lane in horizons
-                }
-                conn.send(("step", inboxes[index], block_horizons))
-                inboxes[index] = []
-            for index, conn in enumerate(pipes):
-                reply = conn.recv()
-                if reply[0] == "error":
-                    raise RuntimeError(
-                        f"sharded worker {index} failed: {reply[1]}"
-                    )
-                _tag, outbox, block_heads, view = reply
-                heads.update(block_heads)
-                if view is not None:
-                    views[index] = view
-                for entry in outbox:
-                    dst_lane = entry[3]
-                    inboxes[owner_of[dst_lane]].append(entry)
-
-        sim.stats.windows += rounds
-        for index, conn in enumerate(pipes):
-            conn.send(("finalize",))
+        sim = cluster.env.sim
         group_logs: dict = {}
         for index, conn in enumerate(pipes):
             reply = conn.recv()
@@ -458,29 +247,16 @@ def run_once_sharded_mp(spec: ExperimentSpec, seed: int = 0) -> ExperimentResult
                 cluster.lane_stores[key].load_state(state)
             for driver_index, shipped in payload["outcomes"]:
                 drivers[driver_index].absorb_thread_outcomes(shipped)
-            for pump_index, delivered, max_depth in payload["pumps"]:
-                pump = cluster._pumps[pump_index][1]
-                pump.delivered = delivered
-                pump.max_depth = max_depth
             cluster.crash_records.extend(payload["crashes"])
             cluster.network.stats.absorb(payload["net_stats"])
             sim._processed_events += payload["processed"]
-            for lane, events in enumerate(payload["lane_events"]):
-                sim.stats.events[lane] += events
-            for lane, stalls in enumerate(payload["lane_stalls"]):
-                sim.stats.barrier_stalls[lane] += stalls
-            sim.stats.cross_messages += payload["cross_messages"]
-            for bucket, count in payload["window_span_hist"].items():
-                sim.stats.window_span_hist[bucket] = (
-                    sim.stats.window_span_hist.get(bucket, 0) + count
-                )
         # Deterministic order regardless of worker count: the serial
-        # engines append in fire order, which this key reconstructs.
+        # engine appends in fire order, which this key reconstructs.
         cluster.crash_records.sort(
             key=lambda r: (r.crash_ms, r.datacenter, r.lane)
         )
         group_checker = None
-        if spec.check_invariants and spec.cluster.parallel_check:
+        if spec.check_invariants:
             group_checker = _mp_group_checker(cluster, pipes, blocks)
         # Inside the try: the checker talks to the workers, which the
         # finally below releases whether the checks pass or raise.

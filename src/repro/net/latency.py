@@ -21,28 +21,6 @@ class LatencyModel:
         """One-way delay in milliseconds for a message src → dst."""
         raise NotImplementedError
 
-    def min_delay(self) -> float:
-        """A hard lower bound on :meth:`one_way_delay` over all pairs.
-
-        This floor is the conservative-lookahead window of the sharded
-        simulation kernel: no message can cross between event lanes faster
-        than it, so every lane may safely run that far beyond the other
-        lanes' clocks.  Models that cannot bound their delays must return
-        0.0, which confines them to the single-heap kernels.
-        """
-        return 0.0
-
-    def min_delay_between(self, src_dc: str, dst_dc: str) -> float:
-        """A hard lower bound on :meth:`one_way_delay` for one dc pair.
-
-        The sharded kernel uses these pairwise floors to give each lane
-        pair its own lookahead: two lanes whose closest datacenters sit an
-        ocean apart get a window tens of milliseconds wide even though the
-        global :meth:`min_delay` (intra-dc) floor is under a millisecond.
-        Must never exceed any delay the model can draw for the pair.
-        """
-        return self.min_delay()
-
 
 class ConstantLatency(LatencyModel):
     """The same fixed delay for every message.  Useful in unit tests."""
@@ -53,9 +31,6 @@ class ConstantLatency(LatencyModel):
         self.delay_ms = delay_ms
 
     def one_way_delay(self, src_dc: str, dst_dc: str, rng: random.Random) -> float:
-        return self.delay_ms
-
-    def min_delay(self) -> float:
         return self.delay_ms
 
 
@@ -115,16 +90,3 @@ class RttMatrixLatency(LatencyModel):
         if factor < floor:
             factor = floor
         return base * factor
-
-    def min_delay(self) -> float:
-        """Smallest possible one-way delay: the intra-datacenter half-RTT
-        (always the matrix minimum in practice, but the configured matrix is
-        consulted too) scaled by the jitter floor."""
-        smallest_rtt = min(self.rtt_ms.values(), default=self.intra_dc_rtt_ms)
-        smallest_rtt = min(smallest_rtt, self.intra_dc_rtt_ms)
-        factor = 1.0 if self.jitter == 0 else self._jitter_floor
-        return (smallest_rtt / 2.0) * factor
-
-    def min_delay_between(self, src_dc: str, dst_dc: str) -> float:
-        factor = 1.0 if self.jitter == 0 else self._jitter_floor
-        return (self.base_rtt(src_dc, dst_dc) / 2.0) * factor

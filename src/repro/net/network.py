@@ -12,13 +12,12 @@ network itself only consults it.
 **Lane affinity.**  On a lane-partitioned deployment every node carries a
 lane (its entity-group shard, or the shared lane), and the network is the
 *only* cross-lane channel: a delivery whose destination sits in another lane
-is scheduled through the kernel's cross-lane path, carrying the message
-itself as transport so a multiprocessing worker can ship it to the lane's
-owner.  Everything lane-scoped — the jitter/loss RNG stream, the outage and
-partition views, the loss-probability overrides — is kept per lane, so a
-lane's behaviour is a function of its own history only; that independence is
-what lets the sharded kernel drain lanes concurrently and still match the
-single-heap kernel bit for bit.  Single-lane deployments collapse to the
+is scheduled through the kernel's cross-lane path.  Everything lane-scoped —
+the jitter/loss RNG stream, the outage and partition views, the
+loss-probability overrides — is kept per lane, so a lane's behaviour is a
+function of its own history only; that independence is what lets the
+lane-closed fan-out run lanes in separate processes and still match the
+single-process run bit for bit.  Single-lane deployments collapse to the
 pre-lane behaviour exactly (same stream names, same state objects).
 """
 
@@ -154,11 +153,6 @@ class Network:
                 f"environment has {self.env.lane_count} lane(s)"
             )
         self._nodes[node.name] = node
-        # A node joining an armed deployment (e.g. a restarted queue pump)
-        # must track its reply expectations from its first request on.
-        book = getattr(self.env.sim, "promises", None)
-        if book is not None and book.enabled:
-            node.arm_promises(book)
 
     def node(self, name: str) -> "Node":
         try:
@@ -286,23 +280,11 @@ class Network:
                 delay = one_way_delay(src_dc, dst_dc, rng)
                 sim_schedule(_Delivery(env, self, msg, dst), delay)
             return
-        # Cross-lane: the kernel routes (or ships) the delivery; the
-        # transport pair lets a worker boundary rebuild the event.
         for _copy in range(copies):
             delay = one_way_delay(src_dc, dst_dc, rng)
             env.sim.schedule_in_lane(
                 _Delivery(env, self, msg, dst), delay, dst_lane,
-                transport=(msg, dst.name),
             )
-
-    def inject_delivery(self, lane: int, when: float, key_lane: int,
-                        key_seq: int, msg: Message, dst_name: str) -> None:
-        """Rebuild a worker-shipped cross-lane delivery (coordinator path)."""
-        dst = self.node(dst_name)
-        self.env.sim.push_external(
-            lane, when, key_lane, key_seq,
-            _Delivery(self.env, self, msg, dst),
-        )
 
     def _deliver(self, msg: Message, dst: "Node") -> None:
         # Re-check outage state at delivery time: a datacenter that went down

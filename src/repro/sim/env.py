@@ -6,50 +6,27 @@ processes use: :meth:`timeout`, :meth:`event`, :meth:`process`,
 :meth:`any_of`, :meth:`all_of`.
 
 Single-lane environments (the default) run on the classic
-:class:`~repro.sim.core.Simulator`.  Lane-partitioned deployments pass
-``lanes > 1`` and pick a kernel: ``engine="global"`` is the reference
-:class:`~repro.sim.core.LanedSimulator`; ``engine="sharded"`` is the
-conservative-lookahead :class:`~repro.sim.core.ShardedSimulator`, which
-needs the network's cross-lane latency floor (``min_cross_delay``).
+:class:`~repro.sim.core.Simulator`; lane-partitioned deployments pass
+``lanes > 1`` and run on :class:`~repro.sim.core.LanedSimulator`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, Literal
+from typing import Any, Generator
 
-from repro.sim.core import LanedSimulator, ShardedSimulator, Simulator
+from repro.sim.core import LanedSimulator, Simulator
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
 from repro.sim.rng import RngRegistry
-
-#: Kernel selector for lane-partitioned environments.  ``"sharded-mp"`` is
-#: accepted as an alias of ``"sharded"`` — the multiprocessing orchestration
-#: lives in :mod:`repro.harness.shardrun`, and each of its workers (and the
-#: coordinating parent) runs an ordinary sharded kernel.
-EngineName = Literal["global", "sharded", "sharded-mp"]
 
 
 class Environment:
     """One simulated world: a clock, an event queue, and seeded randomness."""
 
-    def __init__(
-        self,
-        seed: int = 0,
-        lanes: int = 1,
-        engine: EngineName = "global",
-        min_cross_delay: float = float("inf"),
-    ) -> None:
-        if lanes <= 1 and engine == "global":
-            self.sim: Simulator = Simulator()
-        elif engine == "global":
-            self.sim = LanedSimulator(lanes)
-        elif engine in ("sharded", "sharded-mp"):
-            self.sim = ShardedSimulator(lanes, min_cross_delay=min_cross_delay)
-        else:
-            raise ValueError(f"unknown simulation engine {engine!r}")
+    def __init__(self, seed: int = 0, lanes: int = 1) -> None:
+        self.sim: Simulator = Simulator() if lanes <= 1 else LanedSimulator(lanes)
         self.rng = RngRegistry(seed)
         self.seed = seed
-        self.engine = engine
 
     # ------------------------------------------------------------------
     # Clock
@@ -62,7 +39,7 @@ class Environment:
 
     @property
     def lane_count(self) -> int:
-        """Number of event lanes (1 outside sharded deployments)."""
+        """Number of event lanes (1 outside lane-partitioned deployments)."""
         return self.sim.n_lanes
 
     def run(self, until: float | None = None) -> None:

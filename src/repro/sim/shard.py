@@ -1,13 +1,12 @@
 """Shard (lane) assignment for lane-partitioned deployments.
 
 The paper's core structural claim — entity groups are independent units of
-concurrency control — is what the sharded simulation kernel exploits: every
+concurrency control — is what the lane-closed fan-out exploits: every
 entity group's replicas (its per-datacenter service endpoints and store
 partition) are pinned to one **event lane**, while actors that span groups
 (unpinned clients, 2PC coordinators and their decision instances, ad-hoc
 groups outside the placement) live on the shared lane 0.  The
-:class:`ShardMap` owns that assignment plus the lane-aware node-name scheme,
-and derives the conservative channel graph a run's actors declare.
+:class:`ShardMap` owns that assignment plus the lane-aware node-name scheme.
 
 With ``shards <= 1`` everything collapses to one lane and the historic node
 names (``svc:V1``, ``store:V1``), so single-lane deployments are untouched.
@@ -15,7 +14,7 @@ names (``svc:V1``, ``store:V1``), so single-lane deployments are untouched.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 #: The lane shared by clients, coordinators, decision groups, and any group
 #: outside the deployment placement.
@@ -96,51 +95,6 @@ class ShardMap:
         lane = self.lane_of(group)
         ordered = [local] + [dc for dc in datacenters if dc != local]
         return [service_node_name(dc, lane) for dc in ordered]
-
-    # ------------------------------------------------------------------
-    # Channel derivation (conservative lookahead inputs)
-    # ------------------------------------------------------------------
-
-    def channels_for_client(
-        self, client_lane: int, reachable_groups: Iterable[str],
-        cross_group: bool = False,
-    ) -> set[tuple[int, int]]:
-        """Lane channels a client in *client_lane* can exercise.
-
-        Request/response traffic with every reachable group's lane, both
-        directions.  A 2PC-capable client additionally reaches the shared
-        lane (decision instances), and every participant group's service may
-        consult the shared lane to resolve a decision (LEARN), so those
-        channels are declared too.
-        """
-        channels: set[tuple[int, int]] = set()
-        lanes = {self.lane_of(group) for group in reachable_groups}
-        for lane in lanes:
-            if lane != client_lane:
-                channels.add((client_lane, lane))
-                channels.add((lane, client_lane))
-        if cross_group:
-            for lane in lanes | {client_lane}:
-                if lane != SHARED_LANE:
-                    channels.add((lane, SHARED_LANE))
-                    channels.add((SHARED_LANE, lane))
-        return channels
-
-    def channels_for_pump(self, sender_group: str) -> set[tuple[int, int]]:
-        """Lane channels a delivery pump for *sender_group* can exercise.
-
-        The pump runs in its sender group's lane (it polls that group's
-        durable log) and proposes queue appends to any receiver group's
-        services; it may also stall on in-doubt prepares, which never
-        messages.  Receivers only ever reply.
-        """
-        pump_lane = self.lane_of(sender_group)
-        channels: set[tuple[int, int]] = set()
-        for lane in range(self.n_lanes):
-            if lane != pump_lane:
-                channels.add((pump_lane, lane))
-                channels.add((lane, pump_lane))
-        return channels
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ShardMap(shards={self.shards}, n_lanes={self.n_lanes})"

@@ -258,10 +258,6 @@ class WorkloadDriver:
                     f"per_datacenter(shared_group=False)) or shrink n_rows"
                 )
         self._processes = []
-        #: Thread index -> client, recorded by :meth:`start` so
-        #: :meth:`arm_promises` can give each live thread an out slot.
-        self._thread_clients: dict[int, "TransactionClient"] = {}
-        self._promise_book = None
 
     # ------------------------------------------------------------------
     # Setup
@@ -351,31 +347,6 @@ class WorkloadDriver:
             for index in range(self.workload.n_threads)
         }
 
-    def lane_channels(self) -> "set[tuple[int, int]]":
-        """Cross-lane channels this driver's clients can exercise.
-
-        The conservative-lookahead declaration for the sharded kernel: a
-        superset of the lane pairs this instance's traffic can cross.
-        Pinned threads without a 2PC slice reach only their own lane, so
-        the set is empty and the kernel may decompose the run.
-        """
-        shard_map = self.cluster.shard_map
-        if shard_map.single_lane:
-            return set()
-        cross = self.workload.cross_group_fraction > 0
-        channels: set[tuple[int, int]] = set()
-        if self.pinned and not cross:
-            return channels
-        if self.pinned:
-            for index in range(self.workload.n_threads):
-                lane = shard_map.lane_of(self.thread_group(index))
-                channels |= shard_map.channels_for_client(
-                    lane, self.groups, cross_group=True
-                )
-            return channels
-        reachable = self.groups if self.multi_group else (self.workload.group,)
-        return shard_map.channels_for_client(0, reachable, cross_group=cross)
-
     @property
     def groups(self) -> tuple[str, ...]:
         """Every entity group this driver generates transactions for."""
@@ -415,7 +386,6 @@ class WorkloadDriver:
                 name=f"cli:{self.datacenter}:{self.instance_id}:{index}",
                 lane=lane,
             )
-            self._thread_clients[index] = client
             process = self.cluster.env.process(
                 self._thread(client, index, budget, generator),
                 name=f"{self.instance_id}:thread{index}",
@@ -426,45 +396,6 @@ class WorkloadDriver:
     @property
     def done(self) -> bool:
         return all(not process.is_alive for process in self._processes)
-
-    def thread_client_names(self) -> "list[str]":
-        """Node names of the clients :meth:`start` spawned."""
-        return [
-            client.node.name for client in self._thread_clients.values()
-        ]
-
-    def arm_promises(self, book) -> None:
-        """Give every live thread an out slot in the kernel's promise book.
-
-        A thread self-initiates cross-lane traffic only when it starts a
-        transaction, and the driver's rate cap bounds when that can happen:
-        never before the thread's stagger offset, and between transactions
-        never before ``slot_start + 0.8 × period`` (the jitter draw's lower
-        bound).  The client loop keeps the slot current — participant lanes
-        are released for the duration of each transaction, and a finished
-        thread leaves ``inf`` behind (see :meth:`_thread`).
-        """
-        if not book.enabled:
-            return
-        self._promise_book = book
-        shard_map = self.cluster.shard_map
-        cross = self.workload.cross_group_fraction > 0
-        for index, client in self._thread_clients.items():
-            lane = client.node.lane
-            if self.pinned and not cross:
-                channels: "set[tuple[int, int]]" = set()
-            else:
-                reachable = (
-                    self.groups if self.multi_group else (self.workload.group,)
-                )
-                channels = shard_map.channels_for_client(
-                    lane, reachable, cross_group=cross
-                )
-            book.register(
-                (self.instance_id, index), lane,
-                tuple(ch for ch in channels if ch[0] == lane),
-                floor=index * self.workload.stagger_ms,
-            )
 
     # ------------------------------------------------------------------
     # The client loop
@@ -487,31 +418,17 @@ class WorkloadDriver:
             sink = self._result.outcomes
         rng = env.rng.stream(f"driver.{self.instance_id}.{index}")
         yield env.timeout(index * self.workload.stagger_ms)
-        slot = (self.instance_id, index)
         period = self.workload.mean_interarrival_ms
         for _k in range(budget):
             slot_start = env.now
             plan = generator.next_transaction_plan()
-            book = self._promise_book
-            if book is not None:
-                # No claims while a transaction runs: besides its planned
-                # participants, a client that hits an in-doubt 2PC prepare
-                # resolves it by writing outcome markers into the *blocking*
-                # transaction's participant groups — lanes this plan never
-                # names.  Only the think-time window after commit is
-                # promisable.
-                book.set(slot, slot_start)
             outcome = yield from self._run_transaction(client, plan)
             sink.append(outcome)
             # Rate cap: next arrival one (jittered) period after this slot
             # began; skip the wait entirely if we are already late.
             next_slot = slot_start + rng.uniform(0.8 * period, 1.2 * period)
-            if book is not None:
-                book.set(slot, next_slot)
             if env.now < next_slot:
                 yield env.timeout(next_slot - env.now)
-        if self._promise_book is not None:
-            self._promise_book.set(slot, float("inf"))
 
     def _run_transaction(
         self, client: "TransactionClient", plan: TransactionPlan,

@@ -289,7 +289,7 @@ class OpenLoopDriver:
     Duck-type compatible with :class:`~repro.workload.driver.WorkloadDriver`
     where the harness touches it (``install_data`` / ``start`` / ``done`` /
     ``result`` / ``aggregate`` / ``thread_outcomes`` /
-    ``absorb_thread_outcomes`` / ``lane_channels``), so
+    ``absorb_thread_outcomes``), so
     :func:`repro.harness.experiment.prepare_run` swaps it in when
     ``workload.open_loop`` is set.
 
@@ -355,16 +355,6 @@ class OpenLoopDriver:
     def install_data(self) -> None:
         for group, rows in self._seed_workload.initial_images().items():
             self.cluster.preload(group, rows)
-
-    def lane_channels(self) -> "set[tuple[int, int]]":
-        return set()
-
-    def thread_client_names(self) -> "list[str]":
-        return [client.node.name for client in self._clients]
-
-    def arm_promises(self, book) -> None:
-        # Single-lane only (enforced at construction): nothing to promise.
-        return
 
     @property
     def done(self) -> bool:

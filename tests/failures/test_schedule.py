@@ -155,13 +155,14 @@ class TestInjectorEdgeCases:
         assert not cluster.network.is_down("V2")
 
     def test_midrun_cross_lane_kill_raises_typed_error(self):
-        """On a sharded kernel a mid-run cross-lane kill is a typed error."""
+        """On a lane-partitioned kernel a mid-run cross-lane kill is a typed
+        error."""
         cluster = Cluster(ClusterConfig(
             cluster_code="VVV", seed=0,
             placement=PlacementConfig(
                 n_groups=2, assignment="range", key_universe=2,
             ),
-            shards=2, engine="sharded",
+            shards=2,
         ))
         injector = FailureInjector(cluster)
 
@@ -185,7 +186,7 @@ class TestInjectorEdgeCases:
             placement=PlacementConfig(
                 n_groups=2, assignment="range", key_universe=2,
             ),
-            shards=2, engine="sharded",
+            shards=2,
         ))
         injector = FailureInjector(cluster)
 

@@ -4,10 +4,10 @@ The worker-side parallel checker must be *indistinguishable* from the
 serial per-group loop it replaces: same verdicts, same violation strings,
 same raise order, same resolved 2PC decision map.  Both paths evaluate
 :meth:`repro.cluster.Cluster.group_violations` — these tests pin the
-equivalence from the outside anyway: a clean mixed run must produce
-identical digests with the parallel checker on and off (through the real
-multiprocessing workers), and a doctored run must raise field-identical
-violations through either executor.
+equivalence from the outside anyway: a clean lane-closed run must produce
+identical digests checked in the fan-out workers and checked serially
+(through the real multiprocessing workers), and a doctored run must raise
+field-identical violations through either executor.
 """
 
 from __future__ import annotations
@@ -25,9 +25,12 @@ from tests.helpers import committed, txn
 N_GROUPS = 4
 
 
-def mixed_spec(engine: str, parallel_check: bool = True,
-               workers: int | None = 2) -> ExperimentSpec:
-    """A small cross-group + queue mix: every checker phase has work."""
+def checker_spec(engine: str, workers: int | None = 2,
+                 mixed: bool = False) -> ExperimentSpec:
+    """A small pinned cell; ``mixed`` adds 2PC and queue traffic, which
+    gives every checker phase work but makes the cell not lane-closed."""
+    fractions = dict(cross_group_fraction=0.2, queue_fraction=0.2) \
+        if mixed else {}
     return ExperimentSpec(
         name="checker-cell",
         cluster=ClusterConfig(
@@ -35,13 +38,11 @@ def mixed_spec(engine: str, parallel_check: bool = True,
             shards=N_GROUPS,
             engine=engine,  # type: ignore[arg-type]
             shard_workers=workers,
-            parallel_check=parallel_check,
         ),
         workload=WorkloadConfig(
             n_transactions=16, n_rows=N_GROUPS, n_threads=N_GROUPS,
-            target_rate_per_thread=6.0,
-            cross_group_fraction=0.2, queue_fraction=0.2,
-            group_distribution="pinned",
+            target_rate_per_thread=6.0, group_distribution="pinned",
+            **fractions,
         ),
         protocol="paxos-cp",
     )
@@ -90,17 +91,19 @@ class TestParallelCheckerDigests:
     """End-to-end through the real shard workers' check protocol."""
 
     def test_parallel_check_matches_serial_check(self):
-        on = run_once(mixed_spec("sharded-mp", parallel_check=True), seed=3)
-        off = run_once(mixed_spec("sharded-mp", parallel_check=False), seed=3)
-        reference = run_once(mixed_spec("global"), seed=3)
-        assert metrics_digest([on]) == metrics_digest([reference])
-        assert metrics_digest([off]) == metrics_digest([reference])
+        parallel = run_once(checker_spec("sharded-mp"), seed=3)
+        reference = run_once(checker_spec("global"), seed=3)
+        assert metrics_digest([parallel]) == metrics_digest([reference])
+        # The mixed cell is not lane-closed: sharded-mp checks it serially.
+        mixed = run_once(checker_spec("sharded-mp", mixed=True), seed=3)
+        serial = run_once(checker_spec("global", mixed=True), seed=3)
+        assert metrics_digest([mixed]) == metrics_digest([serial])
 
     def test_parallel_check_multi_worker(self):
         """Groups split over several workers: routing by lane ownership."""
-        spec = mixed_spec("sharded-mp", parallel_check=True, workers=3)
+        spec = checker_spec("sharded-mp", workers=3)
         result = run_once(spec, seed=5)
-        reference = run_once(mixed_spec("global"), seed=5)
+        reference = run_once(checker_spec("global"), seed=5)
         assert metrics_digest([result]) == metrics_digest([reference])
 
 

@@ -1,38 +1,62 @@
-"""Digest equality: the sharded kernels against the global kernel.
+"""Digest equality: the ``sharded-mp`` engine against the ``global`` engine.
 
-The sharded simulation's whole contract is *bit-identical execution*: for a
-fixed deployment layout (``shards``), every engine — the single-heap laned
-kernel, the conservative-lookahead sharded kernel, and its multiprocessing
-fan-out — must produce field-identical metrics, logs, and outcomes.  This
-module sweeps that contract over seeds × protocols (basic Paxos, Paxos-CP,
-2PC mixes, queue mixes) × fault injection × shard counts (1, 4, n_groups).
+The engine contract is *bit-identical execution*: for a fixed deployment
+layout (``shards``), ``sharded-mp`` must produce field-identical metrics to
+``global``.  A lane-closed spec (pinned threads, no 2PC or queue traffic)
+gets there by fanning its lanes out over worker processes; every other spec
+runs in-process and must spawn nothing.  This module sweeps that contract
+over seeds × protocols × 2PC/queue mixes × fault injection × shard counts
+(1, 4, n_groups).
 
-Workloads are sized for CI; the full-scale equivalents run in the
+Workloads are sized for CI; the full-scale equivalent runs in the
 benchmarks (bench_groups_scaling --sharded64 asserts the same digests at 64
 groups).
 """
 
 from __future__ import annotations
 
-import functools
-import hashlib
+import multiprocessing
 from dataclasses import replace
 
 import pytest
 
-from repro.config import ClusterConfig, PlacementConfig, WorkloadConfig
-from repro.cluster import Cluster
-from repro.failures.injector import FailureInjector
-from repro.harness.experiment import ExperimentSpec, run_once
-from repro.harness.metrics import RunMetrics
+from repro.config import (
+    ClusterConfig,
+    CrashWindow,
+    FaultScheduleConfig,
+    LossWindow,
+    OutageWindow,
+    PartitionWindow,
+    PlacementConfig,
+    WorkloadConfig,
+)
+from repro.errors import SimulationError
+from repro.harness.experiment import ExperimentSpec, prepare_run, run_once
 from repro.harness.parallel import metrics_digest
-from repro.workload.driver import WorkloadDriver
+from repro.harness.shardrun import run_once_sharded_mp
 
 N_GROUPS = 6
 SHARD_COUNTS = (1, 4, N_GROUPS)
 
+#: Outage, partition, loss window and a replica crash-restart, all inside
+#: the first few seconds of the short CI runs.
+FAULTS = FaultScheduleConfig(
+    outages=(OutageWindow("V2", 400.0, 500.0),),
+    partitions=(PartitionWindow("V1", "V3", 1500.0, 700.0),),
+    loss_windows=(LossWindow(0.05, 2500.0, 600.0),),
+    crashes=(CrashWindow("V3", 1000.0, 800.0),),
+)
 
-def base_spec(engine: str, shards: int, **workload) -> ExperimentSpec:
+SCENARIOS = {
+    "basic": ("paxos", dict()),
+    "2pc": ("paxos-cp", dict(cross_group_fraction=0.25)),
+    "queues": ("paxos-cp", dict(queue_fraction=0.25)),
+}
+
+
+def base_spec(engine: str, shards: int, protocol: str = "paxos-cp",
+              faults: FaultScheduleConfig = FaultScheduleConfig(),
+              shard_workers: int | None = 2, **workload) -> ExperimentSpec:
     defaults = dict(
         n_transactions=36, n_rows=N_GROUPS, n_threads=4,
         target_rate_per_thread=4.0,
@@ -44,220 +68,124 @@ def base_spec(engine: str, shards: int, **workload) -> ExperimentSpec:
             placement=PlacementConfig.ranged(N_GROUPS),
             shards=shards,
             engine=engine,  # type: ignore[arg-type]
+            shard_workers=shard_workers,
+            faults=faults,
         ),
         workload=WorkloadConfig(**defaults),
-        protocol="paxos-cp",
+        protocol=protocol,  # type: ignore[arg-type]
     )
 
 
-def fingerprint(cluster: Cluster, driver: WorkloadDriver) -> str:
-    """A stable digest of everything a run decided.
-
-    Outcomes (through ``RunMetrics``, every field), the finalized per-group
-    logs entry by entry, and the resolved 2PC decision map.
-    """
-    outcomes = driver.result.outcomes
-    logs = cluster.finalize_all()
-    decisions = cluster.check_invariants_all(outcomes, logs=logs)
-    metrics = RunMetrics.from_outcomes(outcomes, protocol="x")
-    payload = [repr(metrics), repr(sorted(decisions.items()))]
-    for group in sorted(logs):
-        for position in sorted(logs[group]):
-            payload.append(f"{group}@{position}:{logs[group][position]!r}")
-    return hashlib.sha256("\n".join(payload).encode()).hexdigest()
+def digest(spec: ExperimentSpec, seed: int) -> str:
+    return metrics_digest([run_once(spec, seed=seed)])
 
 
-def run_world(engine: str, shards: int, seed: int, protocol: str,
-              cross: float = 0.0, queue: float = 0.0,
-              faults: bool = False, adaptive: bool = False,
-              promises: bool = True) -> str:
-    """One bare-``Cluster`` run, fingerprinted.
+@pytest.fixture
+def spawns(monkeypatch) -> list[str]:
+    """Records every multiprocessing context the run under test asks for."""
+    requested: list[str] = []
+    real = multiprocessing.get_context
 
-    ``adaptive=True`` mirrors what ``prepare_run`` does for sharded
-    engines: restrict the kernel to the workload's channel graph (the
-    per-lane-pair lookahead matrix) and arm the promise book; ``promises``
-    then toggles the dynamic-promise layer on top of the static matrix.
-    """
-    cluster = Cluster(ClusterConfig(
-        placement=PlacementConfig.ranged(N_GROUPS),
-        shards=shards,
-        engine=engine,  # type: ignore[arg-type]
-        seed=seed,
-        promises=promises,
-    ))
-    driver = WorkloadDriver(
-        cluster,
-        WorkloadConfig(
-            n_transactions=30, n_rows=N_GROUPS, n_threads=3,
-            target_rate_per_thread=4.0,
-            cross_group_fraction=cross, queue_fraction=queue,
-        ),
-        protocol,  # type: ignore[arg-type]
-        datacenter=cluster.topology.names[0],
-    )
-    driver.install_data()
-    driver.start()
-    if queue > 0:
-        cluster.start_queue_pumps()
-    if faults:
-        injector = FailureInjector(cluster)
-        injector.outage(cluster.topology.names[1], 400.0, 900.0)
-        injector.partition(cluster.topology.names[0],
-                           cluster.topology.names[2], 1500.0, 700.0)
-        injector.loss_episode(0.05, 2500.0, 600.0)
-    if adaptive and not cluster.shard_map.single_lane:
-        channels = set(driver.lane_channels())
-        if queue > 0:
-            for group in cluster.placement.groups:
-                channels |= cluster.shard_map.channels_for_pump(group)
-        cluster.restrict_lane_channels(channels)
-        cluster.enable_promises([driver])
-    cluster.run()
-    return fingerprint(cluster, driver)
+    def spy(method=None):
+        requested.append(method)
+        return real(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", spy)
+    return requested
+
+
+def assert_engines_agree(spawns: list[str], seed: int, **spec_args) -> None:
+    """``sharded-mp`` matches ``global``, fanning out iff lane-closed."""
+    reference = digest(base_spec("global", **spec_args), seed)
+    assert spawns == []
+    fanned = base_spec("sharded-mp", **spec_args)
+    assert digest(fanned, seed) == reference
+    assert len(spawns) == (1 if fanned.lane_closed else 0)
 
 
 class TestEngineDigestEquality:
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     @pytest.mark.parametrize("seed", (0, 11))
-    @pytest.mark.parametrize("scenario", (
-        ("paxos", dict()),
-        ("paxos-cp", dict(cross=0.25)),
-        ("paxos-cp", dict(queue=0.25)),
-    ), ids=("basic", "2pc", "queues"))
-    def test_global_vs_sharded(self, shards, seed, scenario):
-        protocol, extra = scenario
-        a = run_world("global", shards, seed, protocol, **extra)
-        b = run_world("sharded", shards, seed, protocol, **extra)
-        assert a == b
+    @pytest.mark.parametrize("scenario", tuple(SCENARIOS))
+    def test_global_vs_sharded(self, spawns, shards, seed, scenario):
+        """Pinned threads fan out unless 2PC or queue traffic joins lanes."""
+        protocol, extra = SCENARIOS[scenario]
+        assert_engines_agree(
+            spawns, seed, shards=shards, protocol=protocol,
+            group_distribution="pinned", **extra,
+        )
 
     @pytest.mark.parametrize("shards", (1, 4))
-    def test_fault_injection_digest(self, shards):
-        a = run_world("global", shards, 5, "paxos", faults=True)
-        b = run_world("sharded", shards, 5, "paxos", faults=True)
-        assert a == b
+    def test_fault_injection_digest(self, spawns, shards):
+        assert_engines_agree(
+            spawns, 5, shards=shards, protocol="paxos", faults=FAULTS,
+            group_distribution="pinned",
+        )
 
-    def test_fault_injection_with_queue_traffic(self):
-        a = run_world("global", N_GROUPS, 9, "paxos-cp", queue=0.3, faults=True)
-        b = run_world("sharded", N_GROUPS, 9, "paxos-cp", queue=0.3, faults=True)
-        assert a == b
-
-
-@functools.lru_cache(maxsize=None)
-def global_fingerprint(seed: int, protocol: str, cross: float = 0.0,
-                       queue: float = 0.0, faults: bool = False) -> str:
-    """The reference digest, computed once per scenario.
-
-    The global kernel ignores the lookahead matrix and the promise book,
-    so one reference run serves every (adaptive, promises) row.
-    """
-    return run_world("global", N_GROUPS, seed, protocol,
-                     cross=cross, queue=queue, faults=faults)
-
-
-class TestAdaptiveLookaheadDigest:
-    """Seeds × protocols × faults × promises on/off against the reference.
-
-    The hard correctness bar for the adaptive-lookahead layer: with the
-    per-lane-pair matrix restricted to the workload's channel graph and
-    dynamic promises armed (or disarmed — the static matrix alone must
-    also be sound), the sharded kernel's execution stays byte-identical to
-    the global kernel's.  Any unsound horizon widens a window past a real
-    cross-lane message and either trips the promise-enforcement oracle or
-    shifts an event order — both of which this digest comparison catches.
-    """
-
-    @pytest.mark.parametrize("promises", (True, False),
-                             ids=("promises", "matrix-only"))
-    @pytest.mark.parametrize("seed", (3, 17))
-    @pytest.mark.parametrize("scenario", (
-        ("paxos", dict()),
-        ("paxos-cp", dict(cross=0.25)),
-        ("paxos-cp", dict(queue=0.25)),
-        ("paxos-cp", dict(cross=0.2, queue=0.2)),
-    ), ids=("basic", "2pc", "queues", "chatty"))
-    def test_adaptive_vs_global(self, promises, seed, scenario):
-        protocol, extra = scenario
-        reference = global_fingerprint(seed, protocol, **extra)
-        adaptive = run_world("sharded", N_GROUPS, seed, protocol,
-                             adaptive=True, promises=promises, **extra)
-        assert adaptive == reference
-
-    @pytest.mark.parametrize("promises", (True, False),
-                             ids=("promises", "matrix-only"))
-    def test_adaptive_fault_injection(self, promises):
-        reference = global_fingerprint(5, "paxos-cp", cross=0.2, faults=True)
-        adaptive = run_world("sharded", N_GROUPS, 5, "paxos-cp", cross=0.2,
-                             faults=True, adaptive=True, promises=promises)
-        assert adaptive == reference
+    def test_fault_injection_with_queue_traffic(self, spawns):
+        assert_engines_agree(
+            spawns, 9, shards=N_GROUPS, faults=FAULTS, queue_fraction=0.3,
+            group_distribution="pinned",
+        )
 
 
 class TestRunOnceEngines:
-    """run_once-level equality, including the channel-restricted paths."""
+    """run_once-level equality across lane-closed and in-process paths."""
 
     @pytest.mark.parametrize("dist", ("uniform", "pinned"))
-    def test_sharded_matches_global(self, dist):
-        a = run_once(base_spec("global", 4, group_distribution=dist), seed=2)
-        b = run_once(base_spec("sharded", 4, group_distribution=dist), seed=2)
-        assert metrics_digest([a]) == metrics_digest([b])
+    def test_sharded_matches_global(self, spawns, dist):
+        assert_engines_agree(spawns, 2, shards=4, group_distribution=dist)
 
-    def test_pinned_run_decomposes(self):
-        result = run_once(base_spec("sharded", N_GROUPS,
-                                    group_distribution="pinned"), seed=2)
-        profile = result.lane_profile
-        assert profile is not None
-        # No cross-lane traffic and a single drain window: the lane-closed
-        # regime the multiprocessing mode exploits.
-        assert profile["cross_messages"] == 0
-        assert profile["windows"] == 1
+    def test_pinned_run_decomposes(self, spawns):
+        """One worker per lane: the shared lane plus every group lane."""
+        spec = base_spec("sharded-mp", N_GROUPS, group_distribution="pinned",
+                         shard_workers=N_GROUPS + 1)
+        assert spec.lane_closed
+        with pytest.warns(RuntimeWarning, match="oversubscribes"):
+            result = run_once(spec, seed=2)
+        assert spawns == ["spawn"]
+        reference = base_spec("global", N_GROUPS, group_distribution="pinned")
+        assert metrics_digest([result]) == digest(reference, 2)
 
-    def test_sharded_mp_matches_inprocess(self):
-        spec = base_spec("sharded", 4, group_distribution="pinned",
-                         n_transactions=24)
-        mp_spec = replace(
-            spec, cluster=replace(spec.cluster, engine="sharded-mp"),
-        )
-        a = run_once(spec, seed=4)
-        b = run_once(mp_spec, seed=4)
-        assert metrics_digest([a]) == metrics_digest([b])
+    def test_sharded_mp_matches_inprocess(self, spawns):
+        assert_engines_agree(spawns, 4, shards=4, group_distribution="pinned",
+                             n_transactions=24)
 
-    def test_sharded_mp_windowed_traffic_matches(self):
-        """Roaming clients force the coordinator's windowed message rounds."""
-        spec = base_spec("sharded", 4, n_transactions=12)
-        mp_spec = replace(
-            spec, cluster=replace(spec.cluster, engine="sharded-mp"),
-        )
-        a = run_once(spec, seed=6)
-        b = run_once(mp_spec, seed=6)
-        assert metrics_digest([a]) == metrics_digest([b])
+    def test_roaming_clients_run_in_process(self, spawns):
+        """Roaming clients message every lane: no fan-out, same digest."""
+        assert_engines_agree(spawns, 6, shards=4, n_transactions=12,
+                             shard_workers=3)
 
-    def test_sharded_mp_multi_worker_windowed_matches(self):
-        """Cross-worker exchange: lanes split over several workers.
+    def test_sharded_mp_multi_worker_2pc_matches(self, spawns):
+        assert_engines_agree(spawns, 8, shards=4, n_transactions=12,
+                             cross_group_fraction=0.3, n_threads=3,
+                             shard_workers=5)
 
-        Regression test for the coordinator's horizon computation ignoring
-        in-flight messages: with more than one worker, a reply routed
-        through the coordinator used to arrive below the destination lane's
-        already-drained frontier and crash.  ``shard_workers`` deliberately
-        exceeds this machine's CPU count — worker count is a correctness
-        dial here, not a performance one.
-        """
-        spec = base_spec("global", 4, n_transactions=12)
-        mp_spec = replace(
-            spec,
-            cluster=replace(spec.cluster, engine="sharded-mp",
-                            shard_workers=3),
-        )
-        a = run_once(spec, seed=6)
-        b = run_once(mp_spec, seed=6)
-        assert metrics_digest([a]) == metrics_digest([b])
 
-    def test_sharded_mp_multi_worker_2pc_matches(self):
-        spec = base_spec("global", 4, n_transactions=12,
-                         cross_group_fraction=0.3, n_threads=3)
-        mp_spec = replace(
-            spec,
-            cluster=replace(spec.cluster, engine="sharded-mp",
-                            shard_workers=5),
-        )
-        a = run_once(spec, seed=8)
-        b = run_once(mp_spec, seed=8)
-        assert metrics_digest([a]) == metrics_digest([b])
+class TestLaneClosure:
+    """The run-time half of the contract: a worker never leaves its lanes."""
+
+    def test_worker_refuses_traffic_into_unowned_lanes(self):
+        # Roaming clients live on the shared lane 0 and message the group
+        # lanes; a worker owning only lane 0 must refuse the first send.
+        spec = base_spec("sharded-mp", 4, n_transactions=8)
+        assert not spec.lane_closed
+        cluster, _drivers = prepare_run(spec, seed=1)
+        cluster.env.sim.restrict_lanes({0})
+        with pytest.raises(SimulationError, match="not lane-closed"):
+            cluster.run()
+
+    def test_fan_out_rejects_specs_that_are_not_lane_closed(self, spawns):
+        spec = base_spec("sharded-mp", 4, cross_group_fraction=0.3,
+                         group_distribution="pinned")
+        with pytest.raises(ValueError, match="not lane-closed"):
+            run_once_sharded_mp(spec, seed=0)
+        assert spawns == []
+
+    def test_lane_closed_run_with_one_worker(self, spawns):
+        spec = base_spec("sharded-mp", 4, group_distribution="pinned",
+                         shard_workers=1)
+        reference = replace(spec, cluster=replace(spec.cluster,
+                                                  engine="global"))
+        assert digest(spec, 3) == digest(reference, 3)
+        assert spawns == ["spawn"]

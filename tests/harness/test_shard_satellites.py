@@ -1,22 +1,17 @@
 """Satellite behaviours around the sharded simulation subsystem.
 
-Oversubscription clamping, the latency-floor API, the pinned workload
-distribution, and the lane-profile surfacing.
+Oversubscription clamping, the pinned workload distribution, and the
+lane-closed spec predicate the fan-out engine decides by.
 """
 
 from __future__ import annotations
 
 import warnings
 
-import pytest
-
 from repro.cluster import Cluster
 from repro.config import ClusterConfig, PlacementConfig, WorkloadConfig
 from repro.harness.parallel import resolve_jobs, shard_procs_per_run
 from repro.harness.experiment import ExperimentSpec
-from repro.harness.profiling import format_lane_profile
-from repro.net.latency import ConstantLatency, RttMatrixLatency
-from repro.net.topology import INTRA_DC_RTT_MS, cluster_preset
 from repro.workload.driver import WorkloadDriver
 
 
@@ -59,10 +54,11 @@ class TestResolveJobsClamp:
             ),
             workload=WorkloadConfig(
                 n_transactions=6, n_rows=2, n_threads=2,
-                target_rate_per_thread=8.0,
+                target_rate_per_thread=8.0, group_distribution="pinned",
             ),
             protocol="paxos",
         )
+        assert shard_procs_per_run(spec) == 2
         parallel = run_cells([spec], trials=2, jobs=2)
         serial = run_cells([spec], trials=2, jobs=1)
         assert metrics_digest(parallel) == metrics_digest(serial)
@@ -74,40 +70,17 @@ class TestResolveJobsClamp:
                 placement=PlacementConfig.ranged(4), shards=4,
                 engine="sharded-mp", shard_workers=2,
             ),
-            workload=WorkloadConfig(),
+            workload=WorkloadConfig(group_distribution="pinned"),
         )
         assert shard_procs_per_run(spec) == 2
         inline = ExperimentSpec(name="y", cluster=ClusterConfig(),
                                 workload=WorkloadConfig())
         assert shard_procs_per_run(inline) == 1
-
-
-class TestMinDelay:
-    def test_constant_latency_floor(self):
-        assert ConstantLatency(2.5).min_delay() == 2.5
-
-    def test_rtt_matrix_floor_is_intra_dc_half_rtt_at_jitter_floor(self):
-        topology = cluster_preset("VVV")
-        model = RttMatrixLatency(topology, jitter=0.08)
-        expected = (INTRA_DC_RTT_MS / 2.0) * (1.0 - 2.0 * 0.08)
-        assert model.min_delay() == pytest.approx(expected)
-
-    def test_floor_bounds_every_draw(self):
-        import random
-
-        topology = cluster_preset("VVVOC")
-        model = RttMatrixLatency(topology, jitter=0.2)
-        rng = random.Random(7)
-        floor = model.min_delay()
-        names = topology.names
-        for _ in range(2000):
-            src, dst = rng.choice(names), rng.choice(names)
-            assert model.one_way_delay(src, dst, rng) >= floor
-
-    def test_zero_jitter_floor(self):
-        topology = cluster_preset("VVV")
-        model = RttMatrixLatency(topology, jitter=0.0)
-        assert model.min_delay() == INTRA_DC_RTT_MS / 2.0
+        # Roaming clients are not lane-closed: sharded-mp runs them
+        # in-process, so nothing is spawned.
+        roaming = ExperimentSpec(name="z", cluster=spec.cluster,
+                                 workload=WorkloadConfig())
+        assert shard_procs_per_run(roaming) == 1
 
 
 class TestPinnedDriver:
@@ -138,9 +111,28 @@ class TestPinnedDriver:
         for index, lane in lanes.items():
             assert lane == cluster.shard_map.lane_of(driver.thread_group(index))
 
-    def test_pinned_channels_empty_without_cross_traffic(self):
-        _cluster, driver = self.make()
-        assert driver.lane_channels() == set()
+    def test_pinned_spec_is_lane_closed(self):
+        def spec(**workload):
+            return ExperimentSpec(
+                name="closed",
+                cluster=ClusterConfig(
+                    placement=PlacementConfig.ranged(6), shards=3,
+                ),
+                workload=WorkloadConfig(n_rows=6, **workload),
+            )
+
+        assert spec(group_distribution="pinned").lane_closed
+        assert not spec().lane_closed  # roaming threads
+        assert not spec(group_distribution="pinned",
+                        cross_group_fraction=0.1).lane_closed
+        assert not spec(group_distribution="pinned",
+                        queue_fraction=0.1).lane_closed
+        single = ExperimentSpec(
+            name="one-lane",
+            cluster=ClusterConfig(placement=PlacementConfig.ranged(6)),
+            workload=WorkloadConfig(n_rows=6, group_distribution="pinned"),
+        )
+        assert not single.lane_closed  # one lane: nothing to fan out
 
     def test_outcomes_merge_in_thread_order(self):
         cluster, driver = self.make(threads=3)
@@ -162,47 +154,3 @@ class TestPinnedDriver:
             expected = driver.thread_group(index)
             for outcome in results:
                 assert outcome.transaction.group == expected
-
-
-class TestLaneProfileFormatting:
-    def test_format_lane_profile(self):
-        text = format_lane_profile({
-            "windows": 3,
-            "events": [10, 90, 80],
-            "barrier_stalls": [1, 0, 2],
-            "cross_messages": 7,
-            "utilization": [10 / 180, 90 / 180, 80 / 180],
-        })
-        assert "3 window(s)" in text
-        assert "7 cross-lane message(s)" in text
-        assert "shared" in text
-        # No lookahead counters, no histogram section.
-        assert "lookahead" not in text
-
-    def test_format_lookahead_histogram(self):
-        from repro.sim.core import SPAN_UNBOUNDED
-
-        text = format_lane_profile({
-            "windows": 8,
-            "events": [10, 90],
-            "barrier_stalls": [1, 0],
-            "cross_messages": 7,
-            "utilization": [0.1, 0.9],
-            "window_span_hist": {-3: 5, 4: 2, SPAN_UNBOUNDED: 1},
-            "promise_windows": 6,
-            "stalls_avoided": 11,
-        })
-        assert "6/8 promise-stretched window(s) (75.0%)" in text
-        assert "11 barrier stall(s) avoided" in text
-        assert "[0.125, 0.25)" in text
-        assert "[16, 32)" in text
-        assert "unbounded" in text
-
-    def test_span_bucket_labels(self):
-        from repro.harness.profiling import span_bucket_label
-        from repro.sim.core import SPAN_UNBOUNDED, span_bucket
-
-        assert span_bucket_label(span_bucket(float("inf"))) == "unbounded"
-        assert span_bucket_label(span_bucket(24.0)) == "[16, 32)"
-        assert span_bucket_label(span_bucket(0.15)) == "[0.125, 0.25)"
-        assert SPAN_UNBOUNDED == span_bucket(float("inf"))

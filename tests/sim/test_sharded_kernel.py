@@ -1,25 +1,36 @@
-"""Unit tests for the lane-partitioned kernels and the shard map.
+"""Unit tests for the lane-partitioned kernel and the shard map.
 
-The integration-level contract (field-identical metrics across kernels) is
+The integration-level contract (field-identical metrics across engines) is
 covered by tests/harness/test_shard_digest.py; these tests pin the kernel
-mechanics: canonical ordering, conservative horizons, lane isolation
-enforcement, and the lane bookkeeping the profiling surfaces.
+mechanics: canonical ordering, and the lane restriction a fan-out worker
+runs under.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.sim.env import Environment
+from repro.sim.events import Notification
 from repro.sim.shard import ShardMap, service_node_name, store_name
 
 
 def laned_env(lanes: int) -> Environment:
-    return Environment(seed=1, lanes=lanes, engine="global")
+    return Environment(seed=1, lanes=lanes)
 
 
-def sharded_env(lanes: int, w: float = 1.0) -> Environment:
-    return Environment(seed=1, lanes=lanes, engine="sharded", min_cross_delay=w)
+class Poke(Notification):
+    """A bare event that records its lane and time when processed."""
+
+    __slots__ = ("log",)
+
+    def __init__(self, env: Environment, log: list) -> None:
+        super().__init__(env)
+        self.log = log
+
+    def _process(self) -> None:
+        self.log.append((self.env.sim.current_lane, self.env.now))
 
 
 class TestShardMap:
@@ -57,26 +68,6 @@ class TestShardMap:
         )
         assert names == ["svc:V2:2", "svc:V1:2", "svc:V3:2"]
 
-    def test_channels_for_pinned_client_are_empty(self):
-        groups = tuple(f"group-{i}" for i in range(4))
-        shard_map = ShardMap(groups, 4)
-        lane = shard_map.lane_of("group-2")
-        assert shard_map.channels_for_client(lane, ["group-2"]) == set()
-
-    def test_channels_for_roaming_client(self):
-        groups = tuple(f"group-{i}" for i in range(2))
-        shard_map = ShardMap(groups, 2)
-        channels = shard_map.channels_for_client(0, groups)
-        assert channels == {(0, 1), (1, 0), (0, 2), (2, 0)}
-
-    def test_cross_group_adds_shared_lane_learn_channels(self):
-        groups = tuple(f"group-{i}" for i in range(2))
-        shard_map = ShardMap(groups, 2)
-        channels = shard_map.channels_for_client(0, groups, cross_group=True)
-        # Group-lane services may LEARN decisions from the shared lane.
-        assert (1, 0) in channels and (0, 1) in channels
-        assert (2, 0) in channels and (0, 2) in channels
-
 
 class TestLanedSimulator:
     def test_canonical_order_is_time_lane_seq(self):
@@ -113,98 +104,80 @@ class TestLanedSimulator:
             logs.append(log)
         assert logs[0] == logs[1]
 
-
-class TestShardedSimulator:
-    def test_independent_lanes_drain_in_one_window(self):
-        env = sharded_env(3)
-        env.sim.restrict_channels(set())
-
-        def chain(env, hops):
-            for _ in range(hops):
-                yield env.timeout(1.0)
-
-        env.process(chain(env, 10), lane=1)
-        env.process(chain(env, 10), lane=2)
-        env.run()
-        assert env.sim.stats.windows == 1
-        assert env.sim.stats.events[1] == env.sim.stats.events[2]
-
-    def test_undeclared_channel_raises(self):
-        env = sharded_env(2)
-        env.sim.restrict_channels(set())
-
-        def offender(env):
-            yield env.timeout(1.0)
-            env.sim.schedule_in_lane(env.event().succeed(), 0.0, 1)
-
-        env.process(offender(env), lane=0)
-        with pytest.raises(RuntimeError, match="lane isolation violated"):
-            env.run()
-
-    def test_zero_floor_with_channels_rejected(self):
-        env = Environment(seed=1, lanes=2, engine="sharded",
-                          min_cross_delay=0.0)
-        with pytest.raises(ValueError, match="latency floor"):
-            env.sim.restrict_channels({(0, 1)})
-
     def test_run_until_advances_clock_per_lane(self):
-        env = sharded_env(2)
+        env = laned_env(2)
         fired = []
         env.timeout(4.0, lane=1).add_callback(lambda e: fired.append(env.now))
         env.run(until=2.0)
         assert fired == [] and env.now == 2.0
         env.run(until=10.0)
-        assert fired == [4.0]
+        assert fired == [4.0] and env.now == 10.0
 
-    def test_matches_laned_kernel_with_cross_lane_pingpong(self):
-        """Two lanes exchanging messages through a latency-floored channel
-        observe identical per-lane histories on both kernels.
 
-        Cross-lane execution *interleaving* within a window is free (the
-        kernels only promise that nothing in one lane can observe it), so
-        the comparison is per lane, not over the merged append order.
-        """
+class TestLaneRestriction:
+    """``restrict_lanes``: the kernel a lane-closed fan-out worker runs."""
 
-        def run(engine):
-            env = Environment(seed=1, lanes=2, engine=engine,
-                              min_cross_delay=1.5)
-            traces: dict[int, list] = {0: [], 1: []}
+    @staticmethod
+    def chains(env: Environment, log: list, lanes) -> None:
+        def chain(env, lane):
+            for _ in range(4):
+                yield env.timeout(1.0 + lane / 10)
+                log.append((lane, env.now))
 
-            def ping(env):
-                for index in range(5):
-                    yield env.timeout(0.7)
-                    traces[0].append(("ping", round(env.now, 6)))
-                    # Cross-lane notification via the kernel API, 1.5ms floor.
-                    from repro.sim.events import Notification
+        for lane in lanes:
+            env.process(chain(env, lane), lane=lane)
 
-                    class Poke(Notification):
-                        __slots__ = ()
+    def test_unowned_lanes_never_run(self):
+        env = laned_env(3)
+        log: list = []
+        self.chains(env, log, (0, 1, 2))
+        env.sim.restrict_lanes({1})
+        env.run()
+        assert {lane for lane, _now in log} == {1}
 
-                        def _process(self_inner) -> None:
-                            traces[1].append(("poke", round(env.now, 6)))
-
-                    env.sim.schedule_in_lane(Poke(env), 1.5, 1)
-
-            env.process(ping(env), lane=0)
+    def test_owned_lanes_match_the_unrestricted_run(self):
+        full: list = []
+        env = laned_env(4)
+        self.chains(env, full, (0, 1, 2, 3))
+        env.run()
+        for owned in ({0, 2}, {1, 3}):
+            part: list = []
+            env = laned_env(4)
+            self.chains(env, part, (0, 1, 2, 3))
+            env.sim.restrict_lanes(owned)
             env.run()
-            return traces
+            assert part == [entry for entry in full if entry[0] in owned]
 
-        assert run("global") == run("sharded")
+    def test_scheduling_into_an_unowned_lane_raises(self):
+        env = laned_env(3)
+        log: list = []
 
-    def test_stats_track_cross_messages(self):
-        env = sharded_env(2, w=2.0)
-        from repro.sim.events import Notification
+        def offender(env):
+            yield env.timeout(1.0)
+            env.sim.schedule_in_lane(Poke(env, log), 0.5, 2)
 
-        class Noop(Notification):
-            __slots__ = ()
+        env.process(offender(env), lane=1)
+        env.sim.restrict_lanes({0, 1})
+        with pytest.raises(SimulationError, match="not lane-closed"):
+            env.run()
+        assert log == []
 
-            def _process(self) -> None:
-                pass
+    def test_owned_cross_lane_scheduling_is_allowed(self):
+        env = laned_env(3)
+        log: list = []
 
         def sender(env):
             yield env.timeout(1.0)
-            env.sim.schedule_in_lane(Noop(env), 2.0, 1)
+            env.sim.schedule_in_lane(Poke(env, log), 0.5, 0)
 
-        env.process(sender(env), lane=0)
+        env.process(sender(env), lane=1)
+        env.sim.restrict_lanes({0, 1})
         env.run()
-        assert env.sim.stats.cross_messages == 1
+        assert log == [(0, 1.5)]
+
+    def test_unknown_lane_rejected(self):
+        env = laned_env(2)
+        with pytest.raises(ValueError, match="unknown lanes"):
+            env.sim.restrict_lanes({0, 5})
+        with pytest.raises(ValueError, match="no lane 5"):
+            env.sim.schedule_in_lane(Poke(env, []), 0.0, 5)

@@ -232,7 +232,7 @@ def test_open_loop_rejects_sharded_clusters():
     with pytest.raises(ValueError, match="single-lane"):
         open_spec(cluster=ClusterConfig(
             placement=PlacementConfig.ranged(4, key_universe=8),
-            shards=2, engine="sharded",
+            shards=2, engine="sharded-mp",
         ))
 
 
