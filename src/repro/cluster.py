@@ -36,7 +36,7 @@ from repro.core.queues import (
     enumerate_sends,
     first_applies,
 )
-from repro.core.service import TransactionService, ordered_service_names
+from repro.core.service import TransactionService
 from repro.errors import FaultScheduleError
 from repro.kvstore.service import StoreAccessor, StoreLatencyModel
 from repro.kvstore.store import MultiVersionStore
@@ -46,10 +46,12 @@ from repro.kvstore.txnstatus import (
     decision_group,
 )
 from repro.model import (
+    AbortReason,
     Item,
     Placement,
     QueueSend,
     TransactionOutcome,
+    TransactionStatus,
     TransactionStatusRecord,
 )
 from repro.net.latency import RttMatrixLatency
@@ -256,7 +258,7 @@ class Cluster:
             # single-group API admits arbitrary group names ("accounts"),
             # which a 1-group placement would spuriously reject.
             placement=self.placement if self.placement.n_groups > 1 else None,
-            shard_map=self.shard_map if not self.shard_map.single_lane else None,
+            shard_map=self.shard_map,
             lane=lane,
             isolation=self.config.isolation,
         )
@@ -690,9 +692,8 @@ class Cluster:
             name=f"pump:{group}:{self._pump_counter}",
             sender_group=group,
             store=self.lane_stores[(home, lane)],
-            service_names=ordered_service_names(list(self.topology.names), home),
             config=self.config.protocol,
-            shard_map=self.shard_map if not self.shard_map.single_lane else None,
+            shard_map=self.shard_map,
             datacenters=list(self.topology.names),
         )
         self._pumps.append((group, pump))
@@ -989,31 +990,6 @@ class Cluster:
         """
         if not finalized:
             self.finalize(group)
-        violations = self.group_violations(
-            group, outcomes, strict_timeouts, decisions
-        )
-        if violations:
-            raise InvariantViolation(violations)
-
-    def group_violations(
-        self,
-        group: str,
-        outcomes: list[TransactionOutcome],
-        strict_timeouts: bool = False,
-        decisions: dict[str, bool] | None = None,
-    ) -> list[str]:
-        """One group's §3 violations, as strings; empty when it is clean.
-
-        The non-raising core of :meth:`check_invariants`, shared verbatim by
-        the serial path and the worker-side parallel checker — both report
-        exactly these strings, so the two paths are equivalent by
-        construction.  The group's replicas must already be finalized; the
-        per-group checks are pure functions of replica state, the group's
-        outcomes, and the decision map, which is what makes them safe to
-        evaluate in whichever process holds the group's lane.
-        """
-        from repro.model import AbortReason, TransactionStatus
-
         if decisions is None:
             decisions = self.cross_group_decisions()
         replicas = self.replicas(group)
@@ -1032,33 +1008,30 @@ class Cluster:
                 )
             ]
         image = self._initial_images.get(group, {})
-        try:
-            run_all_checks(
-                replicas, considered, image, decisions,
-                isolation=self.config.isolation,
-            )
-        except InvariantViolation as exc:
-            return list(exc.violations)
+        run_all_checks(
+            replicas, considered, image, decisions,
+            isolation=self.config.isolation,
+        )
         if self.config.isolation == "si":
-            # An acyclic MVSG is not owed under snapshot isolation — the
-            # coordinator classifies the cycles instead of failing the run
-            # (see check_invariants_all).
-            return []
+            # An acyclic MVSG is not owed under snapshot isolation —
+            # check_invariants_all classifies the cycles instead of failing
+            # the run.
+            return
         # Independent oracle: the MVSG test over the observed history.
         history = MVHistory.from_log(
             effective_log(global_log(replicas), decisions), image
         )
         ok, cycle = is_one_copy_serializable(history)
         if not ok:
-            return [f"MVSG test failed: cycle {cycle} in the observed history"]
-        return []
+            raise InvariantViolation(
+                [f"MVSG test failed: cycle {cycle} in the observed history"]
+            )
 
     def check_invariants_all(
         self,
         outcomes: list[TransactionOutcome],
         strict_timeouts: bool = False,
         logs: dict[str, dict[int, LogEntry]] | None = None,
-        group_checker=None,
     ) -> dict[str, bool]:
         """Run :meth:`check_invariants` over every group.
 
@@ -1087,38 +1060,61 @@ class Cluster:
         Returns the resolved 2PC decision map so callers (e.g.
         :meth:`queue_stats`) can reuse it instead of re-deriving it by
         store inspection.
-
-        ``group_checker`` replaces the serial per-group loop with an
-        external executor — ``(by_group, logs, decisions, strict_timeouts)``
-        — that must evaluate :meth:`group_violations` for every group and
-        raise the first failing (sorted) group's violations.  The sharded
-        multiprocessing harness uses it to run the per-group suites inside
-        the shard workers that already hold the lanes' state.
         """
-        by_group, cross_outcomes = self.split_outcomes(outcomes)
+        by_group: dict[str, list[TransactionOutcome]] = {
+            group: [] for group in self.groups
+        }
+        cross_outcomes: list[TransactionOutcome] = []
+        for outcome in outcomes:
+            if outcome.transaction.is_cross_group:
+                cross_outcomes.append(outcome)
+            else:
+                by_group.setdefault(outcome.transaction.group, []).append(outcome)
         logs = dict(logs or {})
         for group in sorted(by_group):
             if group not in logs:
                 logs[group] = self.finalize(group)
-        decisions, queue_active = self.resolve_run(logs)
-        if group_checker is not None:
-            # Parallel mode: the caller fans the per-group verdicts out to
-            # whichever processes hold the lanes, then raises the first
-            # failing (sorted) group's violations itself — identical
-            # semantics, different executor.
-            group_checker(by_group, logs, decisions, strict_timeouts)
-        else:
-            for group, group_outcomes in sorted(by_group.items()):
-                violations = self.group_violations(
-                    group, group_outcomes, strict_timeouts, decisions
-                )
-                if violations:
-                    raise InvariantViolation(violations)
+        decisions = self.recover_cross_group(logs)
+        queue_active = any(
+            entry.kind == "queue_apply" or entry.queue_sends
+            for log in logs.values() for entry in log.values()
+        )
+        if queue_active:
+            # Mutates logs with the drained applies.
+            self.drain_queues(logs, decisions)
+        seen_tids: dict[str, str] = {}
+        cross_group: list[str] = []
+        for group, log in logs.items():
+            for position, entry in log.items():
+                for txn in entry.transactions:
+                    # Intra-group duplicates are (L2)'s job, with positions.
+                    if seen_tids.setdefault(txn.tid, group) != group:
+                        cross_group.append(
+                            f"(groups) {txn.tid} is logged in both "
+                            f"{seen_tids[txn.tid]} and {group}"
+                        )
+        if cross_group:
+            raise InvariantViolation(cross_group)
+        for group, group_outcomes in sorted(by_group.items()):
+            self.check_invariants(
+                group, group_outcomes, strict_timeouts,
+                finalized=True, decisions=decisions,
+            )
         amnesia = self.check_crash_amnesia()
         if amnesia:
             raise InvariantViolation(amnesia)
         self._anomalies = self._classify_anomalies(by_group, logs, decisions)
-        self.finish_global_checks(cross_outcomes, logs, decisions, queue_active)
+        # The obligations that need every group's log at once: the 2PC
+        # atomicity/marker/global-MVSG checks and the queue delivery merge.
+        if cross_outcomes or any(
+            entry.kind != "data" for log in logs.values() for entry in log.values()
+        ):
+            self.check_cross_group_invariants(cross_outcomes, logs, decisions)
+        if queue_active:
+            violations = check_queue_delivery(logs, decisions)
+            violations += self._check_delivery_records(logs, decisions)
+            if violations:
+                raise InvariantViolation(violations)
         return decisions
 
     def _classify_anomalies(
@@ -1129,11 +1125,9 @@ class Cluster:
     ) -> "list[Anomaly]":
         """Name the MVSG cycles an ``si`` run admitted, per group.
 
-        Runs on the coordinator in both the serial and parallel checking
-        paths — the finalized ``logs`` are always in hand here, so the
-        classification cannot drift between ``--jobs`` modes.  Non-SI runs
-        return no anomalies: their group checks already *failed* on any
-        MVSG cycle, so reaching this point means the history is clean.
+        Non-SI runs return no anomalies: their group checks already
+        *failed* on any MVSG cycle, so reaching this point means the
+        history is clean.
         """
         if self.config.isolation != "si":
             return []
@@ -1158,76 +1152,3 @@ class Cluster:
         kind — the shape :class:`repro.harness.metrics.RunMetrics` carries."""
         counts = Counter(anomaly.kind for anomaly in self._anomalies)
         return dict(sorted(counts.items()))
-
-    def split_outcomes(
-        self, outcomes: list[TransactionOutcome]
-    ) -> tuple[dict[str, list[TransactionOutcome]], list[TransactionOutcome]]:
-        """Outcomes routed per group, with cross-group (2PC) ones apart."""
-        by_group: dict[str, list[TransactionOutcome]] = {
-            group: [] for group in self.groups
-        }
-        cross_outcomes: list[TransactionOutcome] = []
-        for outcome in outcomes:
-            if outcome.transaction.is_cross_group:
-                cross_outcomes.append(outcome)
-            else:
-                by_group.setdefault(outcome.transaction.group, []).append(outcome)
-        return by_group, cross_outcomes
-
-    def resolve_run(
-        self, logs: dict[str, dict[int, LogEntry]]
-    ) -> tuple[dict[str, bool], bool]:
-        """The global pre-check phase over finalized logs.
-
-        Resolves in-doubt 2PC transactions, drains undelivered queue sends
-        (mutating *logs* with the drained applies), and verifies that no
-        transaction is logged in more than one group.  Returns the decision
-        map and whether the run carried queue traffic.  Everything after
-        this point is either per-group (parallelizable) or a pure function
-        of ``(logs, decisions)``.
-        """
-        decisions = self.recover_cross_group(logs)
-        queue_active = any(
-            entry.kind == "queue_apply" or entry.queue_sends
-            for log in logs.values() for entry in log.values()
-        )
-        if queue_active:
-            self.drain_queues(logs, decisions)
-        seen_tids: dict[str, str] = {}
-        cross_group: list[str] = []
-        for group, log in logs.items():
-            for position, entry in log.items():
-                for txn in entry.transactions:
-                    # Intra-group duplicates are (L2)'s job, with positions.
-                    if seen_tids.setdefault(txn.tid, group) != group:
-                        cross_group.append(
-                            f"(groups) {txn.tid} is logged in both "
-                            f"{seen_tids[txn.tid]} and {group}"
-                        )
-        if cross_group:
-            raise InvariantViolation(cross_group)
-        return decisions, queue_active
-
-    def finish_global_checks(
-        self,
-        cross_outcomes: list[TransactionOutcome],
-        logs: dict[str, dict[int, LogEntry]],
-        decisions: dict[str, bool],
-        queue_active: bool,
-    ) -> None:
-        """The global post-check phase: merged-history 1SR and queue merge.
-
-        These are the only obligations that need every group's log at once
-        — the 2PC atomicity/marker/global-MVSG checks and the cross-group
-        queue delivery merge — so they stay on the coordinator in parallel
-        mode.
-        """
-        if cross_outcomes or any(
-            entry.kind != "data" for log in logs.values() for entry in log.values()
-        ):
-            self.check_cross_group_invariants(cross_outcomes, logs, decisions)
-        if queue_active:
-            violations = check_queue_delivery(logs, decisions)
-            violations += self._check_delivery_records(logs, decisions)
-            if violations:
-                raise InvariantViolation(violations)

@@ -56,8 +56,6 @@ from repro.core.service import (
     BeginRequest,
     ReadReply,
     ReadRequest,
-    ordered_service_names,
-    service_name,
 )
 from repro.net.node import Node
 from repro.wal.entry import LogEntry
@@ -159,10 +157,10 @@ class TransactionClient:
         name: str,
         datacenters: list[str],
         config: ProtocolConfig,
+        shard_map: "ShardMap",
         protocol: ProtocolName = "paxos",
         home_dc: str | None = None,
         placement: Placement | None = None,
-        shard_map: "ShardMap | None" = None,
         lane: int = 0,
         isolation: IsolationLevel = "1sr",
     ) -> None:
@@ -183,8 +181,7 @@ class TransactionClient:
             )
         self.protocol = self._make_protocol(protocol)
         self.placement = placement
-        #: Group → event-lane routing on sharded deployments; ``None`` keeps
-        #: the historic single-service-per-datacenter addressing.
+        #: Group → event-lane routing: which lane's services own a group.
         self.shard_map = shard_map
         self._txn_counter = 0
         #: Jitter stream for the failover retry loop.  Drawn from only when
@@ -213,26 +210,19 @@ class TransactionClient:
     # Topology helpers used by the protocols
     # ------------------------------------------------------------------
 
-    def service_names(self, group: str | None = None) -> list[str]:
-        """All of *group*'s Transaction Service names, local datacenter first.
+    def service_names(self, group: str) -> list[str]:
+        """All of *group*'s Transaction Service names, local datacenter first
+        (the group picks the service lane)."""
+        return self.shard_map.ordered_service_names(
+            self.datacenters, self.datacenter, group
+        )
 
-        On a sharded deployment the group picks the service lane; without a
-        shard map (or a group) the historic one-service-per-datacenter names
-        are returned.
-        """
-        if self.shard_map is not None and group is not None:
-            return self.shard_map.ordered_service_names(
-                self.datacenters, self.datacenter, group
-            )
-        return ordered_service_names(self.datacenters, self.datacenter)
-
-    def service_in(self, datacenter: str, group: str | None = None) -> str | None:
-        """Service node name in *datacenter*, if it is part of the deployment."""
+    def service_in(self, datacenter: str, group: str) -> str | None:
+        """*group*'s service node name in *datacenter*, if it is part of the
+        deployment."""
         if datacenter not in self.datacenters:
             return None
-        if self.shard_map is not None and group is not None:
-            return self.shard_map.service_name(datacenter, group)
-        return service_name(datacenter)
+        return self.shard_map.service_name(datacenter, group)
 
     # ------------------------------------------------------------------
     # Group routing

@@ -327,30 +327,28 @@ class QueueDeliveryPump:
         name: str,
         sender_group: str,
         store: "MultiVersionStore",
-        service_names: list[str],
         config: ProtocolConfig,
-        shard_map: "ShardMap | None" = None,
-        datacenters: list[str] | None = None,
+        shard_map: "ShardMap",
+        datacenters: list[str],
     ) -> None:
         self.env = env
         self.sender_group = sender_group
         self.config = config
-        #: On a sharded deployment the pump lives in its *sender group's*
-        #: lane — it polls that group's durable log and status tables, which
-        #: only exist in that lane's store partition.  (Receiver-group state
-        #: is reached by messaging, never by store reads.)
-        lane = shard_map.lane_of(sender_group) if shard_map is not None else 0
+        #: The pump lives in its *sender group's* lane — it polls that
+        #: group's durable log and status tables, which only exist in that
+        #: lane's store partition.  (Receiver-group state is reached by
+        #: messaging, never by store reads.)
+        lane = shard_map.lane_of(sender_group)
         self.node = Node(env, network, name, datacenter, lane=lane)
         self.store = store
         self.table = DeliveryTable(store)
-        self.services = list(service_names)
         self.shard_map = shard_map
-        self.datacenters = list(datacenters or [])
+        self.datacenters = list(datacenters)
         #: Last receiver position this incarnation confirmed, per receiver.
-        #: A multi-lane pump cannot see receiver logs in its local store
-        #: partition (they belong to other lanes), so without this hint
-        #: every append would Synod-walk from position 1.  Only consulted on
-        #: multi-lane maps — the single-lane path stays byte-identical.
+        #: With group lanes a pump cannot see receiver logs in its local
+        #: store partition (they belong to other lanes), so without this
+        #: hint every append would Synod-walk from position 1.  A one-lane
+        #: pump reads every receiver log locally and walks from there.
         self._receiver_heads: dict[str, int] = {}
         self._rng = env.rng.stream(f"queuepump.{name}")
         #: Confirmed deliveries, for the harness lag/depth metrics.
@@ -484,10 +482,8 @@ class QueueDeliveryPump:
         return depth
 
     def _services_for(self, receiver: str) -> list[str]:
-        """Service names owning *receiver*'s log (its lane on a sharded
-        deployment; the fixed per-datacenter services otherwise)."""
-        if self.shard_map is None or not self.datacenters:
-            return self.services
+        """Service names owning *receiver*'s log (its lane's services), the
+        pump's datacenter first."""
         return self.shard_map.ordered_service_names(
             self.datacenters, self.node.datacenter, receiver
         )
@@ -516,7 +512,7 @@ class QueueDeliveryPump:
             origin=f"pump:{self.sender_group}", origin_dc=self.node.datacenter,
         )
         position = LogReplica(self.store, receiver).read_position() + 1
-        if self.shard_map is not None and not self.shard_map.single_lane:
+        if self.shard_map.n_lanes > 1:
             position = max(position, self._receiver_heads.get(receiver, 0) + 1)
         services = self._services_for(receiver)
         identity = f"{queue_apply_tid(self.sender_group, receiver, seqno)}:{self.node.name}"

@@ -2,22 +2,19 @@
 
 All methods schedule effects at absolute simulated times (ms) and return
 immediately; the effects fire as the simulation advances.  Every method can
-be called before a run or between ``run()`` segments.  On a single-lane
-cluster faults may also be scheduled from *inside* a running process; a
-lane-partitioned cluster rejects that when it would cross lanes (a process
-in one lane scheduling into another lane's timeline couples lanes that the
-lane-closed fan-out runs in separate processes), so there declare faults
-while the simulation is paused.
+be called before a run or between ``run()`` segments.  Faults may also be
+scheduled from *inside* a running process, except where that would cross
+lanes (a process in one lane scheduling into another lane's timeline
+couples lanes that the lane-closed fan-out runs in separate processes);
+declare those while the simulation is paused.
 
-**Sharded deployments.**  On a lane-partitioned cluster each fault is
-*replicated*: the same effect is scheduled once per event lane, each firing
-from that lane's own timeline against that lane's view of the network state
-(outage sets, severed links, loss rates are all per-lane).  A lane therefore
-observes the fault at exactly the declared simulated time relative to its
-own traffic, without any cross-lane state write — which is what keeps the
-lanes independent.  Process kills are not replicated; they fire once, in
-the victim's lane.  On single-lane clusters all of this collapses to the
-original direct mutation.
+**Lanes.**  Each network fault is *replicated*: the same effect is
+scheduled once per event lane, each firing from that lane's own timeline
+against that lane's view of the network state (outage sets, severed links,
+loss rates are all per-lane).  A lane therefore observes the fault at
+exactly the declared simulated time relative to its own traffic, without
+any cross-lane state write — which is what keeps the lanes independent.
+Process kills are not replicated; they fire once, in the victim's lane.
 """
 
 from __future__ import annotations
@@ -42,13 +39,13 @@ class FailureInjector:
     * A zero-duration window is a no-op with a visible trace: start and end
       fire at the same timestamp in declaration order, so the network state
       is identical before and after, but both events appear in :attr:`log`.
-    * Overlapping outage windows on one datacenter are *refcounted*: the
-      datacenter comes back up only when the **last** open window ends.
-      (Without the count, the first window's end would revive a datacenter
-      a second window still holds down.)  Partitions are set-based — two
-      overlapping windows on the same link collapse to one membership, so
-      the earliest ``heal`` restores the link; refcounting covers the
-      outage case the declarative schedules actually generate.
+    * Overlapping windows compose.  Outages and partitions are
+      *refcounted*: a datacenter comes back up, and a link heals, only
+      when the **last** open window on it ends.  (Without the count, the
+      first window's end would revive a datacenter or link a second window
+      still holds down.)  Overlapping loss episodes apply the rate of the
+      most recently started open episode, and the base rate returns only
+      when the last one closes.
     """
 
     def __init__(self, cluster: "Cluster") -> None:
@@ -56,10 +53,14 @@ class FailureInjector:
         self.env = cluster.env
         self.network = cluster.network
         self.log: list[tuple[float, str]] = []
-        #: Open outage windows per (datacenter, lane) — the overlap
-        #: refcount.  Mutated only by the scheduled callbacks, i.e. in the
-        #: key's own lane, so lanes never race on it.
-        self._outage_depth: dict[tuple[str, int], int] = {}
+        #: Open outage and partition windows per (datacenter or link,
+        #: lane) — the overlap refcount.  Mutated only by the scheduled
+        #: callbacks, i.e. in the key's own lane, so lanes never race on it.
+        self._depth: dict[tuple[str | frozenset[str], int], int] = {}
+        #: Open loss episodes per lane, in start order, as ``(episode id,
+        #: rate)``; the last one's rate is in force.
+        self._open_losses: dict[int, list[tuple[int, float]]] = {}
+        self._loss_episodes = 0
 
     def _at(self, when_ms: float, action: Callable[[], None],
             description: str, lane: int | None = None) -> None:
@@ -91,6 +92,32 @@ class FailureInjector:
 
             self.env.timeout(delay, lane=lane).add_callback(fire)
 
+    def _refcounted_window(
+        self, key: str | frozenset[str], start_ms: float, duration_ms: float,
+        begin: Callable[[int], None], end: Callable[[int], None],
+        start_description: str, end_description: str,
+    ) -> None:
+        """A replicated window that composes with overlapping ones on *key*.
+
+        Each start deepens a per-lane refcount and each end releases one
+        level: *begin* fires when the first window opens, *end* when the
+        last open one closes.
+        """
+        def open_window(lane: int) -> None:
+            depth = self._depth.get((key, lane), 0)
+            self._depth[(key, lane)] = depth + 1
+            if depth == 0:
+                begin(lane)
+
+        def close_window(lane: int) -> None:
+            depth = self._depth.get((key, lane), 1) - 1
+            self._depth[(key, lane)] = depth
+            if depth <= 0:
+                end(lane)
+
+        self._at_every_lane(start_ms, open_window, start_description)
+        self._at_every_lane(start_ms + duration_ms, close_window, end_description)
+
     # ------------------------------------------------------------------
     # Datacenter outages
     # ------------------------------------------------------------------
@@ -103,79 +130,59 @@ class FailureInjector:
         message delivery stops — which is exactly the paper's failure model
         for transaction tiers going offline and back online.
 
-        Overlapping windows on one datacenter compose: each start deepens a
-        per-lane refcount and each end releases one level, so the network
+        Overlapping windows on one datacenter compose: the datacenter
         comes back only when the last open window closes.
         """
-        def down(lane: int) -> None:
-            key = (datacenter, lane)
-            depth = self._outage_depth.get(key, 0)
-            self._outage_depth[key] = depth + 1
-            if depth == 0:
-                self.network.take_down(datacenter, lane=lane)
-
-        def up(lane: int) -> None:
-            key = (datacenter, lane)
-            depth = self._outage_depth.get(key, 1) - 1
-            self._outage_depth[key] = depth
-            if depth <= 0:
-                self.network.bring_up(datacenter, lane=lane)
-
-        self._at_every_lane(start_ms, down, f"outage start {datacenter}")
-        self._at_every_lane(start_ms + duration_ms, up, f"outage end {datacenter}")
+        self._refcounted_window(
+            datacenter, start_ms, duration_ms,
+            lambda lane: self.network.take_down(datacenter, lane=lane),
+            lambda lane: self.network.bring_up(datacenter, lane=lane),
+            f"outage start {datacenter}", f"outage end {datacenter}",
+        )
 
     # ------------------------------------------------------------------
     # Message loss
     # ------------------------------------------------------------------
 
     def loss_episode(self, probability: float, start_ms: float, duration_ms: float) -> None:
-        """Raise the Bernoulli loss rate during a window, then restore it."""
-        if self.env.lane_count == 1:
-            previous = self.network.loss_probability
+        """Raise the Bernoulli loss rate during a window, then restore it.
 
-            def raise_loss() -> None:
-                self.network.loss_probability = probability
+        While episodes overlap, the most recently started one's rate is in
+        force; the base rate returns when the last open episode closes.
+        """
+        self._loss_episodes += 1
+        episode = self._loss_episodes
 
-            def restore() -> None:
-                self.network.loss_probability = previous
+        def start(lane: int) -> None:
+            self._open_losses.setdefault(lane, []).append((episode, probability))
+            self.network.set_loss(probability, lane=lane)
 
-            self._at(start_ms, raise_loss, f"loss {probability} start")
-            self._at(start_ms + duration_ms, restore, "loss end")
-            return
-        # Per-lane overrides; the pre-episode value is captured at
-        # declaration time, exactly as the single-lane closure does.
-        previous_by_lane = {
-            lane: self.network._lane_loss.get(
-                lane, self.network.loss_probability
-            )
-            for lane in range(self.env.lane_count)
-        }
-        self._at_every_lane(
-            start_ms,
-            lambda lane: self.network.set_loss(probability, lane=lane),
-            f"loss {probability} start",
-        )
-        self._at_every_lane(
-            start_ms + duration_ms,
-            lambda lane: self.network.set_loss(previous_by_lane[lane], lane=lane),
-            "loss end",
-        )
+        def end(lane: int) -> None:
+            open_losses = self._open_losses[lane]
+            open_losses.remove((episode, probability))
+            if open_losses:
+                self.network.set_loss(open_losses[-1][1], lane=lane)
+            else:
+                self.network.reset_loss(lane)
+
+        self._at_every_lane(start_ms, start, f"loss {probability} start")
+        self._at_every_lane(start_ms + duration_ms, end, "loss end")
 
     # ------------------------------------------------------------------
     # Partitions
     # ------------------------------------------------------------------
 
     def partition(self, dc_a: str, dc_b: str, start_ms: float, duration_ms: float) -> None:
-        """Sever one inter-datacenter link for a window."""
-        self._at_every_lane(
-            start_ms,
+        """Sever one inter-datacenter link for a window.
+
+        Overlapping windows on one link compose like outages: the link
+        heals when the last open window closes.
+        """
+        self._refcounted_window(
+            frozenset({dc_a, dc_b}), start_ms, duration_ms,
             lambda lane: self.network.sever(dc_a, dc_b, lane=lane),
-            f"partition {dc_a}|{dc_b} start",
-        )
-        self._at_every_lane(
-            start_ms + duration_ms,
             lambda lane: self.network.heal(dc_a, dc_b, lane=lane),
-            f"partition {dc_a}|{dc_b} end",
+            f"partition {dc_a}|{dc_b} start", f"partition {dc_a}|{dc_b} end",
         )
 
     # ------------------------------------------------------------------
@@ -249,22 +256,20 @@ class FailureInjector:
         Fires once, in the victim's own lane — a kill is a process-local
         event, not network state.
 
-        On a lane-partitioned kernel this must be declared while the
-        simulation is paused (or from the victim's own lane): scheduling
-        into *another* lane's timeline mid-run couples lanes that must stay
-        independent, and raises a typed
+        This must be declared while the simulation is paused or from the
+        victim's own lane: scheduling into *another* lane's timeline mid-run
+        couples lanes that must stay independent, and raises a typed
         :class:`~repro.errors.FaultScheduleError` here instead of corrupting
-        the lane kernel's event order.
+        the kernel's event order.
         """
-        if self.env.lane_count > 1:
-            executing = self.env.sim.executing_lane
-            if executing is not None and executing != process.lane:
-                raise FaultScheduleError(
-                    f"kill_process_at({process.name!r}) invoked mid-run from "
-                    f"lane {executing} against lane {process.lane} on a "
-                    f"lane-partitioned kernel; declare process kills before "
-                    f"the run (or between run() segments) — cross-lane "
-                    f"scheduling couples independent lanes"
-                )
+        executing = self.env.sim.executing_lane
+        if executing is not None and executing != process.lane:
+            raise FaultScheduleError(
+                f"kill_process_at({process.name!r}) invoked mid-run from "
+                f"lane {executing} against lane {process.lane} on a "
+                f"lane-partitioned kernel; declare process kills before "
+                f"the run (or between run() segments) — cross-lane "
+                f"scheduling couples independent lanes"
+            )
         self._at(when_ms, lambda: process.kill(reason),
                  f"kill {process.name}", lane=process.lane)

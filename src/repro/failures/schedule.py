@@ -208,14 +208,13 @@ def _install_pump_crash(
     Both effects fire in the victim pump's own lane (a pump is lane-local,
     and mid-run cross-lane scheduling would couple independent lanes).
     """
-    if cluster.env.lane_count > 1:
-        executing = cluster.env.sim.executing_lane
-        if executing is not None and executing != process.lane:
-            raise FaultScheduleError(
-                f"pump crash for {crash.group!r} declared mid-run from "
-                f"lane {executing} against lane {process.lane} on a "
-                f"lane-partitioned kernel; declare crashes before the run"
-            )
+    executing = cluster.env.sim.executing_lane
+    if executing is not None and executing != process.lane:
+        raise FaultScheduleError(
+            f"pump crash for {crash.group!r} declared mid-run from "
+            f"lane {executing} against lane {process.lane} on a "
+            f"lane-partitioned kernel; declare crashes before the run"
+        )
     poll_ms = crash.restart_poll_ms
     restart = None
     if crash.restart_ms is not None:

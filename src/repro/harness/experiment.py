@@ -187,15 +187,13 @@ def prepare_run(spec: ExperimentSpec, seed: int) -> tuple[Cluster, list[Workload
 
 def finish_run(
     spec: ExperimentSpec, cluster: Cluster, drivers: "list[WorkloadDriver]",
-    group_logs: dict | None = None, group_checker=None,
+    group_logs: dict | None = None,
 ) -> ExperimentResult:
     """Offline phase of one cell: finalize, verify invariants, aggregate.
 
     ``group_logs`` lets the lane-closed fan-out hand over logs the workers
     already finalized in parallel (each worker finalizes its owned
-    lanes' groups); ``group_checker`` likewise fans the per-group invariant
-    suites out to the workers (see
-    :meth:`repro.cluster.Cluster.check_invariants_all`).
+    lanes' groups).
     """
     # Merge every group's log for the aggregate statistics; group logs are
     # independent position sequences, so the merged view keys by
@@ -211,9 +209,7 @@ def finish_run(
         # Also drains undelivered queue sends and verifies exactly-once
         # delivery, mutating group_logs with the drained applies; returns
         # the resolved 2PC decision map for reuse below.
-        decisions = cluster.check_invariants_all(
-            outcomes, logs=group_logs, group_checker=group_checker,
-        )
+        decisions = cluster.check_invariants_all(outcomes, logs=group_logs)
     queue = None
     if spec.workload.queue_fraction > 0:
         queue = cluster.queue_stats(

@@ -934,5 +934,6 @@ def aggregate_metrics(trials: list[RunMetrics]) -> RunMetrics:
         prepare_entries=round(fmean(t.log.prepare_entries for t in trials)),
         marker_entries=round(fmean(t.log.marker_entries for t in trials)),
         queue_apply_entries=round(fmean(t.log.queue_apply_entries for t in trials)),
+        noop_entries=round(fmean(t.log.noop_entries for t in trials)),
     )
     return result

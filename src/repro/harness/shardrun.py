@@ -7,16 +7,16 @@ in separate processes with nothing to exchange mid-run.  Every worker
 rebuilds the *identical* world from ``(spec, seed)`` —
 :func:`repro.harness.experiment.prepare_run` is a pure function of those two
 values — drops the pending events of the lanes it does not own
-(:meth:`repro.sim.core.LanedSimulator.restrict_lanes`), and runs the laned
+(:meth:`repro.sim.core.Simulator.restrict_lanes`), and runs the
 kernel to completion.  Should a lane schedule into a lane its worker does
 not own, the kernel raises :class:`~repro.errors.SimulationError`: the spec
 was not lane-closed after all.
 
 Results are field-identical to the in-process run: workers ship their lanes'
-store partitions, per-thread outcomes, crash records and network counters
-home, the parent installs them into its own (never-run) world, and the
-offline phase (finalize, §3 invariants, metrics) proceeds exactly as a
-serial run's would.  A lane-closed run has no 2PC or queue traffic, so
+store partitions, finalized group logs, per-thread outcomes, crash records
+and network counters home, the parent installs them into its own (never-run)
+world, and the offline phase (§3 invariants, metrics) proceeds exactly as an
+in-process run's does.  A lane-closed run has no 2PC or queue traffic, so
 there is no cross-group state to resolve between the lanes.
 """
 
@@ -35,20 +35,11 @@ from repro.harness.experiment import (
 if TYPE_CHECKING:  # pragma: no cover
     from multiprocessing.connection import Connection
 
-#: Message shapes on the parent/worker pipes.
-#:   worker -> parent: ("final", payload) | ("checked", {group: violations})
-#:                   | ("error", repr)
-#:   parent -> worker: ("check", packet) | ("finish",)
-#:
-#: A worker runs its lanes to completion as soon as it starts, finalizes its
-#: owned groups' logs (the per-replica Paxos rescan, parallelized for free)
-#: and ships its full payload — including those logs — but stays alive.  The
-#: parent then runs the global pre-check phase (group-disjointness) and, with
-#: invariants on, sends each worker a ``check`` packet: the decision map plus
-#: the outcomes of each owned group.  The worker answers with each group's
-#: violation list (usually empty) and the parent raises the first failing
-#: group in sorted order — the exact strings the serial path would have
-#: raised.  ``finish`` just releases the worker.
+#: Message shapes on the worker -> parent pipe: ("final", payload) |
+#: ("error", repr).  A worker runs its lanes to completion as soon as it
+#: starts, finalizes its owned groups' logs (the per-replica Paxos rescan,
+#: parallelized for free), ships one payload — including those logs — and
+#: exits.
 
 
 def resolve_workers(n_lanes: int, requested: int | None) -> int:
@@ -125,45 +116,9 @@ def _worker_payload(cluster, drivers, owned: set[int]) -> dict[str, Any]:
     }
 
 
-def _mp_group_checker(cluster, pipes, blocks):
-    """A ``group_checker`` that fans the per-group suites out to workers.
-
-    Each worker already holds its lanes' finalized replica state — the
-    expensive inputs (stores, logs) never cross a process boundary; only
-    the decision map and the groups' outcome lists ship out, and per-group
-    violation strings ship back.  Violations are raised in sorted-group
-    order, matching the serial loop exactly.
-    """
-    from repro.wal.invariants import InvariantViolation
-
-    lane_of = cluster.shard_map.lane_of
-    owner = {lane: index for index, block in enumerate(blocks) for lane in block}
-
-    def checker(by_group, logs, decisions, strict_timeouts):
-        packets: "list[dict]" = [
-            {"decisions": decisions, "strict": strict_timeouts, "groups": {}}
-            for _ in blocks
-        ]
-        for group, group_outcomes in by_group.items():
-            packets[owner[lane_of(group)]]["groups"][group] = group_outcomes
-        for conn, packet in zip(pipes, packets):
-            conn.send(("check", packet))
-        results: dict[str, list[str]] = {}
-        for index, conn in enumerate(pipes):
-            reply = conn.recv()
-            if reply[0] == "error":
-                raise RuntimeError(f"sharded worker {index} failed: {reply[1]}")
-            results.update(reply[1])
-        for group in sorted(results):
-            if results[group]:
-                raise InvariantViolation(results[group])
-
-    return checker
-
-
 def _worker_main(conn: "Connection", spec: ExperimentSpec, seed: int,
                  lanes: tuple[int, ...]) -> None:
-    """One worker: rebuild the world, run the owned lanes, then serve checks."""
+    """One worker: rebuild the world, run the owned lanes, ship the result."""
     try:
         cluster, drivers = prepare_run(spec, seed)
         owned = set(lanes)
@@ -180,19 +135,6 @@ def _worker_main(conn: "Connection", spec: ExperimentSpec, seed: int,
         payload = _worker_payload(cluster, drivers, owned)
         payload["logs"] = logs
         conn.send(("final", payload))
-        while True:
-            command = conn.recv()
-            if command[0] == "finish":
-                return
-            packet = command[1]
-            results = {
-                group: cluster.group_violations(
-                    group, group_outcomes, packet["strict"],
-                    packet["decisions"],
-                )
-                for group, group_outcomes in sorted(packet["groups"].items())
-            }
-            conn.send(("checked", results))
     except BaseException as exc:  # surface in the parent, don't hang it
         try:
             conn.send(("error", repr(exc)))
@@ -255,26 +197,11 @@ def run_once_sharded_mp(spec: ExperimentSpec, seed: int = 0) -> ExperimentResult
         cluster.crash_records.sort(
             key=lambda r: (r.crash_ms, r.datacenter, r.lane)
         )
-        group_checker = None
-        if spec.check_invariants:
-            group_checker = _mp_group_checker(cluster, pipes, blocks)
-        # Inside the try: the checker talks to the workers, which the
-        # finally below releases whether the checks pass or raise.
-        return finish_run(
-            spec, cluster, drivers,
-            group_logs=group_logs, group_checker=group_checker,
-        )
     finally:
         for conn in pipes:
-            try:
-                conn.send(("finish",))
-            except Exception:
-                pass
-            try:
-                conn.close()
-            except Exception:
-                pass
+            conn.close()
         for proc in procs:
             proc.join(timeout=5.0)
             if proc.is_alive():
                 proc.terminate()
+    return finish_run(spec, cluster, drivers, group_logs=group_logs)

@@ -17,8 +17,8 @@ the jitter/loss RNG stream, the outage and partition views, the
 loss-probability overrides — is kept per lane, so a lane's behaviour is a
 function of its own history only; that independence is what lets the
 lane-closed fan-out run lanes in separate processes and still match the
-single-process run bit for bit.  Single-lane deployments collapse to the
-pre-lane behaviour exactly (same stream names, same state objects).
+single-process run bit for bit.  A deployment without group lanes is the
+one-lane case of the same code.
 """
 
 from __future__ import annotations
@@ -115,28 +115,20 @@ class Network:
         self.stats = NetworkStats()
         self._nodes: dict[str, Node] = {}
         n_lanes = env.lane_count
-        #: Per-lane fault views.  Lane 0's sets are also reachable through
-        #: the legacy names so single-lane tests and tools see no change.
+        #: Per-lane fault views: down datacenters and severed links.
         self._down_views: list[set[str]] = [set() for _ in range(n_lanes)]
         self._severed_views: list[set[frozenset[str]]] = [
             set() for _ in range(n_lanes)
         ]
-        self._down_datacenters = self._down_views[0]
-        self._severed_links = self._severed_views[0]
-        #: Per-lane loss overrides (the replicated injector's loss episodes
-        #: set these; absent lanes fall back to the scalar attribute above).
+        #: Per-lane loss overrides (the injector's loss episodes set these;
+        #: absent lanes fall back to the scalar attribute above).
         #: Duplication has no per-lane episode, so it stays a plain scalar.
         self._lane_loss: dict[int, float] = {}
-        #: Per-lane jitter/loss RNG streams.  Lane 0 keeps the historic
-        #: ``"net"`` name so single-lane runs reproduce existing streams.
+        #: Per-lane jitter/loss RNG streams; lane 0 draws from ``"net"``.
         self._rngs = [
             env.rng.stream("net" if lane == 0 else f"net.l{lane}")
             for lane in range(n_lanes)
         ]
-        self._rng = self._rngs[0]
-        #: Single-lane deployments take a branch-free send path with none
-        #: of the per-lane indexing (send is the network's hottest method).
-        self._single_lane = n_lanes == 1
 
     # ------------------------------------------------------------------
     # Membership
@@ -199,6 +191,9 @@ class Network:
         for view in self._views_for(lane):
             self._severed_views[view].discard(frozenset({dc_a, dc_b}))
 
+    def is_severed(self, dc_a: str, dc_b: str, lane: int = 0) -> bool:
+        return frozenset({dc_a, dc_b}) in self._severed_views[lane]
+
     def set_loss(self, probability: float, lane: int | None = None) -> None:
         """Set the Bernoulli loss rate (optionally for one lane's traffic)."""
         if lane is None:
@@ -206,6 +201,14 @@ class Network:
             self._lane_loss.clear()
         else:
             self._lane_loss[lane] = probability
+
+    def reset_loss(self, lane: int) -> None:
+        """Drop *lane*'s override: it falls back to :attr:`loss_probability`."""
+        self._lane_loss.pop(lane, None)
+
+    def loss_rate(self, lane: int = 0) -> float:
+        """The loss rate *lane*'s traffic is currently dropped with."""
+        return self._lane_loss.get(lane, self.loss_probability)
 
     # ------------------------------------------------------------------
     # Delivery
@@ -220,36 +223,6 @@ class Network:
         src = self._nodes.get(msg.src)
         src_dc = src.datacenter if src is not None else msg.src
         dst_dc = dst.datacenter
-        if self._single_lane:
-            # The pre-lane hot path, byte for byte: one outage set, one
-            # severed set, one RNG stream, scalar loss/duplication.
-            if self._down_datacenters and (
-                src_dc in self._down_datacenters
-                or dst_dc in self._down_datacenters
-            ):
-                self.stats.dropped_outage += 1
-                return
-            if self._severed_links and \
-                    frozenset({src_dc, dst_dc}) in self._severed_links:
-                self.stats.dropped_partition += 1
-                return
-            rng = self._rng
-            if self.loss_probability and rng.random() < self.loss_probability:
-                self.stats.dropped_loss += 1
-                return
-            copies = 1
-            if self.duplicate_probability and \
-                    rng.random() < self.duplicate_probability:
-                # UDP may duplicate; the copy re-draws its path delay.
-                copies = 2
-                self.stats.duplicated += 1
-            env = self.env
-            one_way_delay = self.latency.one_way_delay
-            sim_schedule = env.sim.schedule
-            for _copy in range(copies):
-                delay = one_way_delay(src_dc, dst_dc, rng)
-                sim_schedule(_Delivery(env, self, msg, dst), delay)
-            return
         lane = src.lane if src is not None else self.env.sim.current_lane
         down = self._down_views[lane]
         if down and (src_dc in down or dst_dc in down):

@@ -116,7 +116,7 @@ class Node:
     deployment (an entity group's shard, or the shared lane 0); every event
     a node's handlers schedule stays in its lane, and only network messages
     cross lanes.  All per-node counters (request ids, learner identities)
-    are therefore lane-local, which the laned kernel's determinism argument
+    are therefore lane-local, which the kernel's determinism argument
     relies on.
     """
 

@@ -5,16 +5,16 @@ An ``Environment`` owns one simulation kernel, one
 processes use: :meth:`timeout`, :meth:`event`, :meth:`process`,
 :meth:`any_of`, :meth:`all_of`.
 
-Single-lane environments (the default) run on the classic
-:class:`~repro.sim.core.Simulator`; lane-partitioned deployments pass
-``lanes > 1`` and run on :class:`~repro.sim.core.LanedSimulator`.
+Every environment runs on the one :class:`~repro.sim.core.Simulator`
+kernel; ``lanes`` sets its number of event lanes (one unless the
+deployment pins entity groups to lanes).
 """
 
 from __future__ import annotations
 
 from typing import Any, Generator
 
-from repro.sim.core import LanedSimulator, Simulator
+from repro.sim.core import Simulator
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
 from repro.sim.rng import RngRegistry
@@ -24,7 +24,7 @@ class Environment:
     """One simulated world: a clock, an event queue, and seeded randomness."""
 
     def __init__(self, seed: int = 0, lanes: int = 1) -> None:
-        self.sim: Simulator = Simulator() if lanes <= 1 else LanedSimulator(lanes)
+        self.sim = Simulator(lanes)
         self.rng = RngRegistry(seed)
         self.seed = seed
 

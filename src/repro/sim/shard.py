@@ -8,8 +8,8 @@ partition) are pinned to one **event lane**, while actors that span groups
 groups outside the placement) live on the shared lane 0.  The
 :class:`ShardMap` owns that assignment plus the lane-aware node-name scheme.
 
-With ``shards <= 1`` everything collapses to one lane and the historic node
-names (``svc:V1``, ``store:V1``), so single-lane deployments are untouched.
+With ``shards <= 1`` every group maps to the shared lane, so the deployment
+runs on one lane under the lane-0 node names (``svc:V1``, ``store:V1``).
 """
 
 from __future__ import annotations
@@ -50,30 +50,15 @@ class ShardMap:
         if shards > 1 and not groups:
             raise ValueError("a multi-shard map needs the placement's groups")
         self.shards = max(1, min(shards, len(groups) or 1))
-        self.single_lane = self.shards <= 1
-        self.n_lanes = 1 if self.single_lane else self.shards + 1
+        self.n_lanes = 1 if self.shards == 1 else self.shards + 1
         self._lanes: dict[str, int] = {}
-        if not self.single_lane:
+        if self.shards > 1:
             for index, group in enumerate(groups):
                 self._lanes[group] = 1 + (index * self.shards) // len(groups)
-
-    @classmethod
-    def single(cls) -> "ShardMap":
-        """The degenerate one-lane map (every pre-shard deployment)."""
-        return cls((), 1)
 
     def lane_of(self, group: str) -> int:
         """The event lane of *group* (shared lane for unknown groups)."""
         return self._lanes.get(group, SHARED_LANE)
-
-    def groups_in(self, lane: int) -> tuple[str, ...]:
-        """Every placement group assigned to *lane*, in placement order."""
-        return tuple(g for g, l in self._lanes.items() if l == lane)
-
-    @property
-    def group_lanes(self) -> tuple[int, ...]:
-        """The non-shared lanes (empty on a single-lane map)."""
-        return tuple(range(1, self.n_lanes))
 
     # ------------------------------------------------------------------
     # Node naming / routing
@@ -88,9 +73,8 @@ class ShardMap:
     ) -> list[str]:
         """All of *group*'s service replicas, the local datacenter first.
 
-        The canonical failover/proposal order every client-like actor uses
-        (see :func:`repro.core.service.ordered_service_names`, which this
-        generalizes per group).
+        The canonical failover/proposal order every client-like actor
+        (Transaction Clients, queue delivery pumps) uses.
         """
         lane = self.lane_of(group)
         ordered = [local] + [dc for dc in datacenters if dc != local]

@@ -317,7 +317,7 @@ class OpenLoopDriver:
     ) -> None:
         if not workload.open_loop:
             raise ValueError("OpenLoopDriver needs workload.open_loop=True")
-        if not cluster.shard_map.single_lane:
+        if cluster.shard_map.n_lanes > 1:
             # Backstop only: ExperimentSpec validation (and the CLI guard)
             # reject this combination before any cluster exists, with the
             # same message.

@@ -1,7 +1,6 @@
 """Tests for fault injection and the availability story (§1, §4.1)."""
 
 from repro.failures import FailureInjector
-from repro.model import TransactionStatus
 from tests.conftest import make_cluster, run_txn
 
 GROUP = "g"
@@ -106,9 +105,34 @@ class TestLossEpisode:
         injector = FailureInjector(cluster)
         injector.loss_episode(0.4, start_ms=100.0, duration_ms=200.0)
         cluster.env.run(until=150.0)
-        assert cluster.network.loss_probability == 0.4
+        assert cluster.network.loss_rate(lane=0) == 0.4
         cluster.env.run(until=400.0)
-        assert cluster.network.loss_probability == 0.0
+        assert cluster.network.loss_rate(lane=0) == 0.0
+
+    def test_overlapping_windows_end_with_the_last(self):
+        """The later window's rate holds until it closes, even after the
+        earlier window ends."""
+        cluster = preloaded()
+        injector = FailureInjector(cluster)
+        injector.loss_episode(0.3, start_ms=1000.0, duration_ms=2000.0)
+        injector.loss_episode(0.5, start_ms=2000.0, duration_ms=3000.0)
+        rates = []
+        for until in (1500.0, 2500.0, 3500.0, 5500.0):
+            cluster.env.run(until=until)
+            rates.append(cluster.network.loss_rate(lane=0))
+        assert rates == [0.3, 0.5, 0.5, 0.0]
+
+    def test_nested_window_hands_back_the_outer_rate(self):
+        cluster = preloaded()
+        cluster.network.loss_probability = 0.1
+        injector = FailureInjector(cluster)
+        injector.loss_episode(0.3, start_ms=1000.0, duration_ms=4000.0)
+        injector.loss_episode(0.5, start_ms=2000.0, duration_ms=1000.0)
+        rates = []
+        for until in (1500.0, 2500.0, 3500.0, 5500.0):
+            cluster.env.run(until=until)
+            rates.append(cluster.network.loss_rate(lane=0))
+        assert rates == [0.3, 0.5, 0.3, 0.1]
 
     def test_commits_survive_heavy_loss(self):
         cluster = preloaded(seed=11)
@@ -147,6 +171,17 @@ class TestPartition:
         by_origin = {o.transaction.origin_dc: o for o in outcomes}
         assert not by_origin["V1"].committed
         assert by_origin["V2"].committed
+
+    def test_overlapping_windows_heal_with_the_last(self):
+        cluster = preloaded()
+        injector = FailureInjector(cluster)
+        injector.partition("V1", "V2", start_ms=1000.0, duration_ms=2000.0)
+        injector.partition("V2", "V1", start_ms=2000.0, duration_ms=3000.0)
+        severed = []
+        for until in (500.0, 1500.0, 3500.0, 5500.0):
+            cluster.env.run(until=until)
+            severed.append(cluster.network.is_severed("V1", "V2"))
+        assert severed == [False, True, True, False]
 
 
 class TestClientCrash:

@@ -100,6 +100,15 @@ class TestAggregate:
         assert set(merged.commits_by_round) == {1, 2}
         assert merged.max_promotions == 2
 
+    def test_log_stats_average_every_field(self):
+        """Gap fills (noop entries) average like every other log count."""
+        first = RunMetrics.from_outcomes([outcome("t1")])
+        second = RunMetrics.from_outcomes([outcome("t2")])
+        first.log = LogStats(positions=4, noop_entries=2, prepare_entries=1)
+        second.log = LogStats(positions=6, noop_entries=4, prepare_entries=3)
+        merged = aggregate_metrics([first, second]).log
+        assert merged == LogStats(positions=5, noop_entries=3, prepare_entries=2)
+
     def test_empty_rejected(self):
         import pytest
 

@@ -36,7 +36,6 @@ class Poke(Notification):
 class TestShardMap:
     def test_single_lane_collapse(self):
         shard_map = ShardMap(("group-0", "group-1"), 1)
-        assert shard_map.single_lane
         assert shard_map.n_lanes == 1
         assert shard_map.lane_of("group-0") == 0
         assert shard_map.lane_of("anything") == 0
@@ -86,23 +85,6 @@ class TestLanedSimulator:
         env.timeout(1.0, lane=1).add_callback(lambda e: order.append("second"))
         env.run()
         assert order == ["first", "second"]
-
-    def test_single_lane_matches_plain_kernel(self):
-        def chain(env, log, tag):
-            for _ in range(3):
-                yield env.timeout(1.0)
-                log.append((tag, env.now))
-
-        logs = []
-        for build in (lambda: Environment(seed=1),
-                      lambda: laned_env(1)):
-            env = build()
-            log: list = []
-            env.process(chain(env, log, "a"))
-            env.process(chain(env, log, "b"))
-            env.run()
-            logs.append(log)
-        assert logs[0] == logs[1]
 
     def test_run_until_advances_clock_per_lane(self):
         env = laned_env(2)
